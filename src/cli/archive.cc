@@ -409,7 +409,7 @@ Manifest encode_archive(const fs::path& input, const fs::path& dir, size_t k,
     try {
       while (auto item = in_q.pop()) {
         maybe_crash("archive.encode.codec");
-        auto blocks = engine.encode_parallel(item->data, threads);
+        auto blocks = engine.encode(item->data, threads);
         if (!out_q.push({item->index, std::move(blocks)})) break;
       }
     } catch (...) {
@@ -548,7 +548,7 @@ bool decode_archive_stream(const fs::path& dir, size_t threads,
       std::map<size_t, ConstByteSpan> view;
       for (size_t i = 0; i < ids.size(); ++i)
         view.emplace(ids[i], item->pieces[i]);
-      auto decoded = engine.decode_parallel(view, threads);
+      auto decoded = engine.decode(view, threads);
       GALLOPER_CHECK(decoded.has_value());  // solvability gated above
       if (seg.file_offset >= m.original_bytes) continue;  // pure padding
       decoded->resize(
@@ -830,8 +830,9 @@ std::vector<size_t> update_archive(const fs::path& dir, size_t offset,
       archive_segments(m, engine.num_chunks(), nstripes);
   const size_t padded_bytes =
       segments.back().file_offset + segments.back().data_len;
-  GALLOPER_CHECK_MSG(offset + data.size() <= padded_bytes,
-                     "update range beyond the encoded file");
+  GALLOPER_CHECK_MSG(
+      offset <= padded_bytes && data.size() <= padded_bytes - offset,
+      "update range beyond the encoded file");
   if (data.empty()) return {};
 
   for (size_t b = 0; b < code.num_blocks(); ++b)
@@ -897,8 +898,8 @@ std::vector<size_t> update_archive(const fs::path& dir, size_t offset,
         std::copy(chunk_data.begin(), chunk_data.end(), padded.begin());
         chunk_data = padded;
       }
-      const auto t = engine.update_chunk_parallel(pieces, first_chunk + c,
-                                                  chunk_data, threads);
+      const auto t =
+          engine.update_chunk(pieces, first_chunk + c, chunk_data, threads);
       seg_touched.insert(seg_touched.end(), t.begin(), t.end());
     }
     std::sort(seg_touched.begin(), seg_touched.end());

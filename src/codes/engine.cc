@@ -51,7 +51,7 @@ class ExecTimer {
 // nested loop over the same units, so serial and parallel results are
 // byte-identical by construction. Only read_range still uses this (its rows
 // are clipped to the request); the whole-row paths run through
-// CodecPlan::execute_batch.
+// CodecPlan::execute.
 void for_rows_sliced(size_t rows, size_t chunk, size_t threads,
                      const std::function<void(size_t, size_t, size_t)>& body) {
   if (rows == 0 || chunk == 0) return;
@@ -345,8 +345,9 @@ std::shared_ptr<const CodecPlan> CodecEngine::plan_repair(
 
 // ---- Encode ---------------------------------------------------------------
 
-std::vector<Buffer> CodecEngine::encode_impl(ConstByteSpan file,
-                                             size_t threads) const {
+std::vector<Buffer> CodecEngine::encode(ConstByteSpan file,
+                                        size_t threads) const {
+  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
   GALLOPER_CHECK_MSG(!file.empty() && file.size() % num_chunks() == 0,
                      "file size " << file.size()
                                   << " must be a positive multiple of "
@@ -362,88 +363,51 @@ std::vector<Buffer> CodecEngine::encode_impl(ConstByteSpan file,
   const CodecPlan& plan = *encode_plan_;
   const uint8_t* const bases[1] = {file.data()};
   const ExecTimer timer(PlanOp::kEncode);
-  plan.execute_batch(bases, chunk, threads, [&](const CodecPlan::Row& row) {
+  plan.execute(bases, chunk, threads, [&](const CodecPlan::Row& row) {
     return blocks[row.out / stripes_per_block_].data() +
            (row.out % stripes_per_block_) * chunk;
   });
   return blocks;
 }
 
-std::vector<Buffer> CodecEngine::encode(ConstByteSpan file) const {
-  return encode_impl(file, 1);
-}
-
-std::vector<Buffer> CodecEngine::encode_parallel(ConstByteSpan file,
-                                                 size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return encode_impl(file, threads);
-}
-
 // ---- Decode ---------------------------------------------------------------
 
-std::optional<Buffer> CodecEngine::decode_impl(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
-  if (blocks.empty()) return std::nullopt;
-  size_t chunk = 0;
-  const std::vector<size_t> ids = validate_blocks(blocks, &chunk);
-
-  const auto plan = pattern_plan(PlanOp::kDecode, ids, SIZE_MAX);
-  if (!plan->fully_solvable()) return std::nullopt;
-
-  const auto bases = bases_of(*plan, blocks);
-  Buffer file(num_chunks() * chunk);  // every row written below
-  const ExecTimer timer(PlanOp::kDecode);
-  plan->execute_batch(bases.data(), chunk, threads,
-                      [&](const CodecPlan::Row& row) {
-                        return file.data() + row.out * chunk;
-                      });
-  return file;
-}
-
-std::optional<Buffer> CodecEngine::decode(
-    const std::map<size_t, ConstByteSpan>& blocks) const {
-  return decode_impl(blocks, 1);
-}
-
-std::optional<Buffer> CodecEngine::decode_parallel(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
+// decode and decode_fast differ only in the plan they compile: kDecode
+// solves every chunk as a combination, kDecodeFast copies the chunks whose
+// systematic stripe is available.
+std::optional<Buffer> CodecEngine::run_decode(
+    PlanOp op, const std::map<size_t, ConstByteSpan>& blocks,
+    size_t threads) const {
   GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return decode_impl(blocks, threads);
-}
-
-std::optional<Buffer> CodecEngine::decode_fast_impl(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
   if (blocks.empty()) return std::nullopt;
   size_t chunk = 0;
   const std::vector<size_t> ids = validate_blocks(blocks, &chunk);
 
   // The plan resolves solvability BEFORE the (uninitialized) output is
   // touched, so an undecodable set returns nullopt without wasted copying.
-  const auto plan = pattern_plan(PlanOp::kDecodeFast, ids, SIZE_MAX);
+  const auto plan = pattern_plan(op, ids, SIZE_MAX);
   if (!plan->fully_solvable()) return std::nullopt;
 
-  // One pass over all chunks: verbatim copies (which dominate — the copy
-  // path is memory-bandwidth-bound and still gains on multi-socket parts)
-  // and solved combinations execute in the same row fan-out.
+  // One pass over all chunks: verbatim copies (which dominate decode_fast —
+  // the copy path is memory-bandwidth-bound and still gains on multi-socket
+  // parts) and solved combinations execute in the same row fan-out.
   const auto bases = bases_of(*plan, blocks);
-  Buffer file(num_chunks() * chunk);
-  const ExecTimer timer(PlanOp::kDecodeFast);
-  plan->execute_batch(bases.data(), chunk, threads,
-                      [&](const CodecPlan::Row& row) {
-                        return file.data() + row.out * chunk;
-                      });
+  Buffer file(num_chunks() * chunk);  // every row written below
+  const ExecTimer timer(op);
+  plan->execute(bases.data(), chunk, threads, [&](const CodecPlan::Row& row) {
+    return file.data() + row.out * chunk;
+  });
   return file;
 }
 
-std::optional<Buffer> CodecEngine::decode_fast(
-    const std::map<size_t, ConstByteSpan>& blocks) const {
-  return decode_fast_impl(blocks, 1);
+std::optional<Buffer> CodecEngine::decode(
+    const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
+  return run_decode(PlanOp::kDecode, blocks, threads);
 }
 
-std::optional<Buffer> CodecEngine::decode_fast_parallel(
+std::optional<Buffer> CodecEngine::decode_fast(
     const std::map<size_t, ConstByteSpan>& blocks, size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return decode_fast_impl(blocks, threads);
+  return run_decode(PlanOp::kDecodeFast, blocks, threads);
 }
 
 // ---- Repair ---------------------------------------------------------------
@@ -455,16 +419,16 @@ std::optional<Buffer> CodecEngine::repair_execute(
   const auto bases = bases_of(plan, helpers);
   Buffer out(stripes_per_block_ * chunk);  // every stripe written below
   const ExecTimer timer(PlanOp::kRepair);
-  plan.execute_batch(bases.data(), chunk, threads,
-                     [&](const CodecPlan::Row& row) {
-                       return out.data() + row.out * chunk;
-                     });
+  plan.execute(bases.data(), chunk, threads, [&](const CodecPlan::Row& row) {
+    return out.data() + row.out * chunk;
+  });
   return out;
 }
 
-std::optional<Buffer> CodecEngine::repair_block_impl(
+std::optional<Buffer> CodecEngine::repair_block(
     size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
     size_t threads) const {
+  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
   GALLOPER_CHECK(failed < num_blocks_);
   GALLOPER_CHECK_MSG(helpers.find(failed) == helpers.end(),
                      "failed block offered as its own helper");
@@ -473,18 +437,6 @@ std::optional<Buffer> CodecEngine::repair_block_impl(
   const std::vector<size_t> ids = validate_blocks(helpers, &chunk);
   const auto plan = pattern_plan(PlanOp::kRepair, ids, failed);
   return repair_execute(*plan, helpers, chunk, threads);
-}
-
-std::optional<Buffer> CodecEngine::repair_block(
-    size_t failed, const std::map<size_t, ConstByteSpan>& helpers) const {
-  return repair_block_impl(failed, helpers, 1);
-}
-
-std::optional<Buffer> CodecEngine::repair_block_parallel(
-    size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return repair_block_impl(failed, helpers, threads);
 }
 
 std::optional<Buffer> CodecEngine::repair_block_with_plan(
@@ -497,78 +449,12 @@ std::optional<Buffer> CodecEngine::repair_block_with_plan(
   return repair_execute(plan, helpers, chunk, threads);
 }
 
-// ---- Batched forms --------------------------------------------------------
-//
-// The per-stripe implementations are already cell-size-agnostic: a batch of
-// B stripes in position-major layout IS a single "stripe" whose chunk is
-// B·c, and the bytewise GF kernels make the two readings coincide. The
-// wrappers therefore only validate the batch geometry (so a size mismatch
-// fails here, with a batch-aware message, instead of producing a misaligned
-// interleave) and delegate.
-
-std::vector<Buffer> CodecEngine::encode_batch(ConstByteSpan file, size_t batch,
-                                              size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  GALLOPER_CHECK_MSG(
-      !file.empty() && file.size() % (num_chunks() * batch) == 0,
-      "batched file size " << file.size()
-                           << " must be a positive multiple of num_chunks·"
-                              "batch = "
-                           << num_chunks() * batch);
-  return encode_impl(file, threads);
-}
-
-std::optional<Buffer> CodecEngine::decode_batch(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t batch,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  if (blocks.empty()) return std::nullopt;
-  GALLOPER_CHECK_MSG(
-      blocks.begin()->second.size() % (stripes_per_block_ * batch) == 0,
-      "batched block size " << blocks.begin()->second.size()
-                            << " must be a multiple of stripes_per_block·"
-                               "batch = "
-                            << stripes_per_block_ * batch);
-  return decode_impl(blocks, threads);
-}
-
-std::optional<Buffer> CodecEngine::decode_fast_batch(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t batch,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  if (blocks.empty()) return std::nullopt;
-  GALLOPER_CHECK_MSG(
-      blocks.begin()->second.size() % (stripes_per_block_ * batch) == 0,
-      "batched block size " << blocks.begin()->second.size()
-                            << " must be a multiple of stripes_per_block·"
-                               "batch = "
-                            << stripes_per_block_ * batch);
-  return decode_fast_impl(blocks, threads);
-}
-
-std::optional<Buffer> CodecEngine::repair_block_batch(
-    size_t failed, const std::map<size_t, ConstByteSpan>& helpers,
-    size_t batch, size_t threads) const {
-  GALLOPER_CHECK_MSG(batch >= 1 && threads >= 1,
-                     "batch and threads must be >= 1");
-  if (helpers.empty()) return std::nullopt;
-  GALLOPER_CHECK_MSG(
-      helpers.begin()->second.size() % (stripes_per_block_ * batch) == 0,
-      "batched helper size " << helpers.begin()->second.size()
-                             << " must be a multiple of stripes_per_block·"
-                                "batch = "
-                             << stripes_per_block_ * batch);
-  return repair_block_impl(failed, helpers, threads);
-}
-
 // ---- Ranged read ----------------------------------------------------------
 
-std::optional<Buffer> CodecEngine::read_range_impl(
+std::optional<Buffer> CodecEngine::read_range(
     const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
     size_t length, size_t threads) const {
+  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
   if (blocks.empty()) return std::nullopt;
   size_t chunk = 0;
   const std::vector<size_t> ids = validate_blocks(blocks, &chunk);
@@ -609,25 +495,13 @@ std::optional<Buffer> CodecEngine::read_range_impl(
   return range;
 }
 
-std::optional<Buffer> CodecEngine::read_range(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
-    size_t length) const {
-  return read_range_impl(blocks, offset, length, 1);
-}
-
-std::optional<Buffer> CodecEngine::read_range_parallel(
-    const std::map<size_t, ConstByteSpan>& blocks, size_t offset,
-    size_t length, size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return read_range_impl(blocks, offset, length, threads);
-}
-
 // ---- In-place update ------------------------------------------------------
 
-std::vector<size_t> CodecEngine::update_chunk_impl(std::vector<Buffer>& blocks,
-                                                   size_t chunk,
-                                                   ConstByteSpan new_data,
-                                                   size_t threads) const {
+std::vector<size_t> CodecEngine::update_chunk(std::vector<Buffer>& blocks,
+                                              size_t chunk,
+                                              ConstByteSpan new_data,
+                                              size_t threads) const {
+  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
   GALLOPER_CHECK(chunk < num_chunks());
   GALLOPER_CHECK_MSG(blocks.size() == num_blocks_,
                      "update needs all current blocks");
@@ -680,19 +554,6 @@ std::vector<size_t> CodecEngine::update_chunk_impl(std::vector<Buffer>& blocks,
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
   return touched;
-}
-
-std::vector<size_t> CodecEngine::update_chunk(std::vector<Buffer>& blocks,
-                                              size_t chunk,
-                                              ConstByteSpan new_data) const {
-  return update_chunk_impl(blocks, chunk, new_data, 1);
-}
-
-std::vector<size_t> CodecEngine::update_chunk_parallel(
-    std::vector<Buffer>& blocks, size_t chunk, ConstByteSpan new_data,
-    size_t threads) const {
-  GALLOPER_CHECK_MSG(threads >= 1, "need at least one thread");
-  return update_chunk_impl(blocks, chunk, new_data, threads);
 }
 
 // ---- Oracles --------------------------------------------------------------

@@ -85,7 +85,7 @@ BatchCounters& batch_counters() {
 
 }  // namespace
 
-void CodecPlan::execute_batch(
+void CodecPlan::execute(
     const uint8_t* const* bases, size_t cell, size_t threads,
     const std::function<uint8_t*(const Row&)>& dst_of) const {
   if (rows_.empty() || cell == 0) return;

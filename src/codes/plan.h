@@ -119,7 +119,7 @@ class CodecPlan {
   void run_row(const Row& row, uint8_t* dst, const uint8_t* const* bases,
                size_t chunk, size_t src_off, size_t len) const;
 
-  // Work-unit byte cap for execute_batch: rows split into tiles of at most
+  // Work-unit byte cap for execute: rows split into tiles of at most
   // this many bytes, so a huge cell still load-balances across pool
   // runners.
   static constexpr size_t kExecTile = 256 * 1024;
@@ -135,7 +135,7 @@ class CodecPlan {
   // row's output cell; sources address as bases[slot] + pos·cell + offset.
   //
   // This is THE batched execution layer: a batch of B stripes of chunk c
-  // is one execute_batch call with cell = B·c over position-major buffers
+  // is one execute call with cell = B·c over position-major buffers
   // (util/bytes.h interleave_stripes) — each fused mul_region_multi call
   // then covers up to kExecTile contiguous bytes of B stripes instead of
   // B per-stripe calls of c bytes, which is where the SIMD kernels' 64 KiB
@@ -144,8 +144,8 @@ class CodecPlan {
   // thread count. All engine data paths (batch of 1 included) route
   // through here; threads == 1 degrades to a plain serial loop over the
   // same tiles. Rows must all be solvable (checked by callers).
-  void execute_batch(const uint8_t* const* bases, size_t cell, size_t threads,
-                     const std::function<uint8_t*(const Row&)>& dst_of) const;
+  void execute(const uint8_t* const* bases, size_t cell, size_t threads,
+               const std::function<uint8_t*(const Row&)>& dst_of) const;
 
  private:
   friend class CodecEngine;  // sole builder
@@ -191,11 +191,11 @@ class PlanCache {
 
   PlanCacheStats stats() const;
 
-  // Drops every entry and zeroes the counters; with `capacity` ≥ 0 also
-  // resizes (0 disables). Tests and benchmarks use this to compare cached
-  // vs uncached planning within one process; not safe against concurrent
-  // get/put on the same instance mid-resize… it locks all shards, so it is
-  // safe, just not meaningful while a storm is running.
+  // Drops every entry, zeroes the counters and sets the capacity (0
+  // disables). Tests and benchmarks use this to compare cached vs uncached
+  // planning within one process. It locks every shard, so a concurrent
+  // get/put sees the old or the new configuration, never a mix; calling it
+  // while a storm is running is safe, but the storm's counters restart.
   void reset(size_t capacity);
   void clear() { reset(capacity_); }
 
@@ -234,15 +234,15 @@ void record_exec_time(PlanOp op, uint64_t ns);
 void reset_plan_op_stats();
 
 // Batched-execution accounting (process-wide, monotone): every
-// execute_batch call records how many plan rows it dispatched and how many
+// execute call records how many plan rows it dispatched and how many
 // output bytes it wrote. calls vs rows shows the fan-in (rows per kernel
 // dispatch round); bytes/ns is the executor's aggregate throughput. The
 // CLI prints these under --stats.
 struct BatchExecStats {
-  uint64_t calls = 0;  // execute_batch invocations
+  uint64_t calls = 0;  // execute invocations
   uint64_t rows = 0;   // plan rows executed
   uint64_t bytes = 0;  // output bytes written
-  uint64_t ns = 0;     // wall time inside execute_batch
+  uint64_t ns = 0;     // wall time inside execute
 };
 
 BatchExecStats batch_exec_stats();

@@ -35,6 +35,9 @@ namespace galloper::store {
 //  - mu_ is never held across a FetchSet await/join, so a probe parked in
 //    an injected stall cannot wedge writers (the stall runs BEFORE the
 //    probe body via FetchSet's stall_s, outside any lock);
+//  - no injector call (fault draw, write fault) runs under mu_: a write
+//    gate may call back into the store while the injector holds its own
+//    lock, so drawing under mu_ would invert that lock order;
 //  - repair_plans_ has its own plans_mu_ (plan compilation never touches
 //    block state).
 
@@ -322,62 +325,15 @@ std::optional<Buffer> FileStore::read(FileId id) const {
   return code_.decode(view);
 }
 
-std::optional<Buffer> FileStore::read_original_only(FileId id) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  GALLOPER_CHECK(id < files_.size());
-  core::InputFormat fmt(code_, file_block_bytes_[id]);
-  // gather() wants one span per block; an unavailable block is fine only
-  // if it holds no original bytes, in which case a zero dummy stands in.
-  const Buffer dummy(file_block_bytes_[id], 0);
-  std::vector<ConstByteSpan> blocks;
-  for (size_t b = 0; b < code_.num_blocks(); ++b) {
-    const auto data = block_locked(id, b);
-    if (data) {
-      blocks.push_back(*data);
-      continue;
-    }
-    if (fmt.original_bytes_in_block(b) > 0) return std::nullopt;
-    blocks.push_back(ConstByteSpan(dummy));
-  }
-  return fmt.gather(blocks);
-}
-
 std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
                                                      size_t block_offset,
                                                      size_t length) {
   GALLOPER_CHECK_MSG(length > 0, "empty split read");
-  // Hot path: a current-generation verified cache entry serves the split
-  // with no injector draws and no verification (the entry was CRC-checked
-  // when inserted) — sibling splits of one block pay the disk once.
-  if (cache_ != nullptr && cache_->enabled()) {
-    client::BlockCache::EntryRef entry;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      GALLOPER_CHECK(id < files_.size());
-      GALLOPER_CHECK(b < code_.num_blocks());
-      GALLOPER_CHECK_MSG(block_offset + length <= file_block_bytes_[id],
-                         "split [" << block_offset << ", "
-                                   << block_offset + length
-                                   << ") beyond block size "
-                                   << file_block_bytes_[id]);
-      entry = cache_->get(cache_uid_, id, b, block_gens_[id][b]);
-    }
-    if (entry != nullptr && entry->size() >= block_offset + length) {
-      Buffer out(length);
-      std::copy_n(entry->data() + block_offset, length, out.data());
-      return out;
-    }
-  }
-
-  counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
-
-  // Pre-draw the fault schedule on this thread (one block — same per-block
-  // draw order as read_range: latency first, then the retried transient
-  // faults). The injected stall is slept on the CALLING thread: a split
-  // read is the map slot's own local disk read, with no second replica to
-  // hedge to — a stalled split is a straggler the job's other map slots
-  // absorb, which is exactly the behavior the paper measures.
-  double stall_s = 0;
+  // One shared hold checks the bounds and finds the hot path: a
+  // current-generation verified cache entry serves the split with no
+  // injector draws and no verification (the entry was CRC-checked when
+  // inserted), so sibling splits of one block pay the disk once.
+  client::BlockCache::EntryRef entry;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     GALLOPER_CHECK(id < files_.size());
@@ -387,16 +343,28 @@ std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
                                  << block_offset + length
                                  << ") beyond block size "
                                  << file_block_bytes_[id]);
-    if (!block_available_locked(id, b)) return std::nullopt;
-    stall_s = injector_ ? injector_->read_latency() : 0;
-    constexpr size_t kReadAttempts = 3;
-    for (size_t tries = 0; injector_ && injector_->read_fails();) {
-      counters_.transient_faults.fetch_add(1, std::memory_order_relaxed);
-      if (++tries >= kReadAttempts) return std::nullopt;
+    if (cache_ != nullptr && cache_->enabled())
+      entry = cache_->get(cache_uid_, id, b, block_gens_[id][b]);
+    if (entry == nullptr || entry->size() < block_offset + length) {
+      entry = nullptr;
+      counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
+      if (!block_available_locked(id, b)) return std::nullopt;
     }
   }
-  if (stall_s > 0)
-    std::this_thread::sleep_for(std::chrono::duration<double>(stall_s));
+  if (entry != nullptr) {
+    Buffer out(length);
+    std::copy_n(entry->data() + block_offset, length, out.data());
+    return out;
+  }
+  // Pre-draw the fault schedule on this thread (one block, the same draw
+  // as read_range's). The injected stall is slept on the CALLING thread: a
+  // split read is the map slot's own local disk read, with no second
+  // replica to hedge to — a stalled split is a straggler the job's other
+  // map slots absorb, which is exactly the behavior the paper measures.
+  const std::optional<double> stall_s = draw_fetch_faults();
+  if (!stall_s.has_value()) return std::nullopt;
+  if (*stall_s > 0)
+    std::this_thread::sleep_for(std::chrono::duration<double>(*stall_s));
 
   // Verify-on-read: CRC the whole block under the shared lock. A clean
   // block yields the range plus a cache fill copied under the SAME hold as
@@ -426,33 +394,10 @@ std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
     return out;
   }
 
-  // CRC mismatch: re-verify + quarantine under the exclusive lock (a
-  // concurrent reader may have healed the block in the window — leave a
-  // good block alone), then self-heal like read_range does.
-  bool quarantined = false;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    const auto& blk = files_[id][b];
-    if (blk.has_value() && crc32c(*blk) != checksums_[id][b]) {
-      counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
-      bump_generation_locked(id, b);
-      files_[id][b].reset();
-      quarantined = true;
-    }
-  }
-  if (quarantined) {
-    counters_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
-    if (cluster_.server(server_of(b)).alive()) {
-      try {
-        if (repair(id, b))
-          counters_.auto_repairs.fetch_add(1, std::memory_order_relaxed);
-      } catch (const fault::TransientError&) {
-        // Helpers kept failing transiently; scrub/recovery retries later.
-      }
-    }
-  }
-  // nullopt either way — the caller's degraded ranged read serves the
-  // bytes (clean again if the self-heal above landed).
+  // CRC mismatch: quarantine + self-heal like read_range, then nullopt
+  // either way — the caller's degraded ranged read serves the bytes (clean
+  // again if the self-heal landed).
+  self_heal(id, quarantine(id, {b}));
   return std::nullopt;
 }
 
@@ -654,72 +599,51 @@ struct Candidate {
 };
 }  // namespace
 
-std::optional<Buffer> FileStore::read_range(FileId id, size_t offset,
-                                            size_t length) {
-  return read_range_impl(id, offset, length, /*draw_faults=*/true);
+std::optional<double> FileStore::draw_fetch_faults() const {
+  if (!injector_) return 0.0;
+  // Latency first, then the transient faults, retried in place.
+  const double stall_s = injector_->read_latency();
+  constexpr size_t kReadAttempts = 3;
+  for (size_t tries = 0; injector_->read_fails();) {
+    counters_.transient_faults.fetch_add(1, std::memory_order_relaxed);
+    if (++tries >= kReadAttempts) return std::nullopt;
+  }
+  return stall_s;
 }
 
-std::optional<Buffer> FileStore::read_range_nofault(FileId id, size_t offset,
-                                                    size_t length) {
-  return read_range_impl(id, offset, length, /*draw_faults=*/false);
-}
-
-std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
-                                                 size_t length,
-                                                 bool draw_faults) {
-  // Hot-head fast path: a range fully covered by current-generation cached
-  // entries is served with no probe fetches, no injector draws, and no
-  // trip through the I/O pool (not counted as a verified read — nothing
-  // was re-verified; the entries were CRC-checked when inserted).
-  if (auto cached = read_range_cached(id, offset, length)) return cached;
-
+FileStore::VerifiedBlocks FileStore::verify_blocks(
+    FileId id, bool draw_faults,
+    const std::function<void(const std::vector<size_t>&)>& on_decodable) {
   counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
 
-  // Pre-draw the fault schedule on this thread, in block order — identical
-  // draws to the old serial scan, so counters and rng state never depend
-  // on I/O timing. Transient (injected) read faults are retried in place;
-  // a block whose reads keep failing is simply left out of this read.
-  std::vector<Candidate> candidates;
-  size_t bbytes = 0;  // block size — what each CRC-probe fetch reads
+  VerifiedBlocks out;
+  size_t& bbytes = out.session.block_bytes;  // what each CRC probe reads
+  std::vector<size_t> available;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     GALLOPER_CHECK(id < files_.size());
     bbytes = file_block_bytes_[id];
-    const size_t chunk =
-        file_block_bytes_[id] / code_.engine().stripes_per_block();
-    const size_t fbytes = code_.engine().num_chunks() * chunk;
-    GALLOPER_CHECK_MSG(offset + length <= fbytes,
-                       "range [" << offset << ", " << offset + length
-                                 << ") beyond file size " << fbytes);
-    for (size_t b = 0; b < code_.num_blocks(); ++b) {
-      if (!block_available_locked(id, b)) continue;
-      // The nofault form draws NOTHING: the caller (a stale-session
-      // fallback) already paid this read's schedule — see the header.
-      const double stall_s =
-          (draw_faults && injector_) ? injector_->read_latency() : 0;
-      constexpr size_t kReadAttempts = 3;
-      bool readable = true;
-      for (size_t tries = 0;
-           draw_faults && injector_ && injector_->read_fails();) {
-        counters_.transient_faults.fetch_add(1, std::memory_order_relaxed);
-        if (++tries >= kReadAttempts) {
-          readable = false;
-          break;
-        }
-      }
-      if (!readable) continue;
-      candidates.push_back({b, stall_s});
-    }
+    available = available_blocks_locked(id);
+  }
+  // Pre-draw the fault schedule on this thread, in block order, so
+  // counters and rng state never depend on I/O timing. A block whose
+  // reads keep failing is simply left out.
+  // The nofault form draws NOTHING: the caller (a stale-session fallback)
+  // already paid this read's schedule — see the header.
+  std::vector<Candidate> candidates;
+  for (size_t b : available) {
+    const std::optional<double> stall_s =
+        draw_faults ? draw_fetch_faults() : std::optional<double>(0.0);
+    if (stall_s.has_value()) candidates.push_back({b, *stall_s});
   }
 
   // Verify-on-read, concurrently: every candidate block gets a CRC-probe
-  // fetch on the async I/O pool. await() unblocks as soon as a decodable
-  // subset is clean, so the decode below overlaps the straggler probes.
-  // A fetch still slow at the hedge deadline is re-issued without its
-  // injected stall (a second replica path); the loser is cancelled when
-  // the first result lands. Hedges draw NOTHING from the injector.
-  // Probe bodies take mu_ shared and re-check residency: a sibling reader
-  // may have quarantined the block between submission and the probe run.
+  // fetch on the async I/O pool. A fetch still slow at the hedge deadline
+  // is re-issued without its injected stall (a second replica path); the
+  // loser is cancelled when the first result lands. Hedges draw NOTHING
+  // from the injector. Probe bodies take mu_ shared and re-check
+  // residency: a sibling reader may have quarantined the block between
+  // submission and the probe run.
   auto probe = [this, id](size_t b) {
     return [this, id, b] {
       if (injector_) injector_->crash_point("store.fetch");
@@ -741,29 +665,16 @@ std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
   };
   for (const Candidate& c : candidates)
     fetches.fetch(c.block, c.stall_s, probe(c.block), /*hedge=*/false, bbytes);
-  fetches.await(
-      [&](const std::vector<size_t>& clean) { return code_.decodable(clean); },
-      hedge_pending);
-
-  // The (possibly degraded) read itself: the shared decode_fast/read_range
-  // plan reconstructs only the chunks overlapping the request from the
-  // clean blocks gathered so far. The view re-checks residency under the
-  // shared lock; if a clean block vanished (concurrent quarantine) and the
-  // decode came up empty, we retry once after the exhaustive await below,
-  // when the final clean set is known.
-  const auto decode_view = [&]() -> std::pair<std::optional<Buffer>, bool> {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    std::map<size_t, ConstByteSpan> view;
-    bool all_present = true;
-    for (size_t b : fetches.clean_keys()) {
-      if (files_[id][b].has_value())
-        view.emplace(b, ConstByteSpan(*files_[id][b]));
-      else
-        all_present = false;
-    }
-    return {code_.engine().read_range(view, offset, length), all_present};
-  };
-  auto [out, decode_authoritative] = decode_view();
+  // Early-ready step: await() unblocks as soon as a decodable subset is
+  // clean, so the caller's decode overlaps the straggler probes.
+  if (on_decodable) {
+    fetches.await(
+        [&](const std::vector<size_t>& clean) {
+          return code_.decodable(clean);
+        },
+        hedge_pending);
+    on_decodable(fetches.clean_keys());
+  }
 
   // Every probe must still resolve before ANY mutation — a straggler
   // finding corruption counts, and the quarantine below resets buffers a
@@ -771,36 +682,49 @@ std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
   // injected stall": a probe still parked past the hedge deadline is
   // re-issued stall-free here too (the hedge runs the same CRC check, so
   // nothing goes uncounted), and the loser is cancelled when the key
-  // lands. The read's tail is then the hedge deadline, not the stall.
+  // lands. The tail is then the hedge deadline, not the stall.
   fetches.await([](const std::vector<size_t>&) { return false; },
                 hedge_pending);
   fetches.join();
   fetches.rethrow_any_failure();
-  if (!decode_authoritative && !out.has_value())
-    out = decode_view().first;  // final clean set, post-join
 
-  // A mismatch quarantines the block so no later caller trusts it either.
-  std::vector<size_t> corrupt;
+  std::vector<size_t> suspects;
+  for (const Candidate& c : candidates)
+    if (fetches.outcome(c.block) == io::FetchSet::Outcome::kCorrupt)
+      suspects.push_back(c.block);
+  out.quarantined = quarantine(id, suspects);
+  out.session.clean = fetches.clean_keys();
+  return out;
+}
+
+std::vector<size_t> FileStore::quarantine(FileId id,
+                                          const std::vector<size_t>& suspects) {
+  if (suspects.empty()) return {};
+  // Re-verify under the exclusive lock: a concurrent reader may have
+  // quarantined (and even healed) a suspect since it was checked, and
+  // resetting a healed copy would turn a repaired block back into an
+  // erasure. A mismatch quarantines the block so no later caller trusts it.
+  std::vector<size_t> quarantined;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    for (const Candidate& c : candidates) {
-      if (fetches.outcome(c.block) != io::FetchSet::Outcome::kCorrupt)
-        continue;
+    for (size_t b : suspects) {
+      const auto& blk = files_[id][b];
+      if (!blk.has_value() || crc32c(*blk) == checksums_[id][b]) continue;
       counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
-      corrupt.push_back(c.block);
-      bump_generation_locked(id, c.block);
-      files_[id][c.block].reset();  // quarantine
+      bump_generation_locked(id, b);
+      files_[id][b].reset();
+      quarantined.push_back(b);
     }
   }
-  if (!corrupt.empty())
+  if (!quarantined.empty())
     counters_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
+  return quarantined;
+}
 
-  // Self-heal: rebuild what the read quarantined, so the NEXT read is
-  // clean. Plans come from the store's pinned pattern map. The nofault
-  // form skips this (repair draws a gather + write-fault schedule); its
-  // quarantines heal on the next scrub or drawing read.
-  for (size_t b : corrupt) {
-    if (!draw_faults) break;
+void FileStore::self_heal(FileId id, const std::vector<size_t>& blocks) {
+  // Rebuild what a read quarantined, so the NEXT read is clean. Plans come
+  // from the store's pinned pattern map.
+  for (size_t b : blocks) {
     if (!cluster_.server(server_of(b)).alive()) continue;
     try {
       if (repair(id, b))
@@ -809,93 +733,74 @@ std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
       // Helpers kept failing transiently; scrub/recovery will retry later.
     }
   }
+}
+
+std::optional<Buffer> FileStore::read_range(FileId id, size_t offset,
+                                            size_t length) {
+  return read_range_impl(id, offset, length, /*draw_faults=*/true);
+}
+
+std::optional<Buffer> FileStore::read_range_nofault(FileId id, size_t offset,
+                                                    size_t length) {
+  return read_range_impl(id, offset, length, /*draw_faults=*/false);
+}
+
+std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
+                                                 size_t length,
+                                                 bool draw_faults) {
+  // Hot-head fast path: a range fully covered by current-generation cached
+  // entries is served with no probe fetches, no injector draws, and no
+  // trip through the I/O pool (not counted as a verified read — nothing
+  // was re-verified; the entries were CRC-checked when inserted).
+  if (auto cached = read_range_cached(id, offset, length)) return cached;
+  const size_t fbytes = file_bytes(id);
+  GALLOPER_CHECK_MSG(offset + length <= fbytes,
+                     "range [" << offset << ", " << offset + length
+                               << ") beyond file size " << fbytes);
+
+  // The (possibly degraded) read itself: the shared decode_fast/read_range
+  // plan reconstructs only the chunks overlapping the request from the
+  // clean blocks. The view re-checks residency under the shared lock; if a
+  // clean block vanished (concurrent quarantine) and the decode came up
+  // empty, we retry once with the final clean set of the exhaustive await.
+  const auto decode_view = [&](const std::vector<size_t>& clean)
+      -> std::pair<std::optional<Buffer>, bool> {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    std::map<size_t, ConstByteSpan> view;
+    bool all_present = true;
+    for (size_t b : clean) {
+      if (files_[id][b].has_value())
+        view.emplace(b, ConstByteSpan(*files_[id][b]));
+      else
+        all_present = false;
+    }
+    return {code_.engine().read_range(view, offset, length), all_present};
+  };
+  std::optional<Buffer> out;
+  bool decode_authoritative = false;
+  const VerifiedBlocks verified = verify_blocks(
+      id, draw_faults, [&](const std::vector<size_t>& clean) {
+        std::tie(out, decode_authoritative) = decode_view(clean);
+      });
+  if (!decode_authoritative && !out.has_value())
+    out = decode_view(verified.session.clean).first;
+
+  // The nofault form skips the self-heal (repair draws a gather +
+  // write-fault schedule); its quarantines heal on the next scrub or
+  // drawing read.
+  if (draw_faults) self_heal(id, verified.quarantined);
   return out;
 }
 
 FileStore::ReadSession FileStore::begin_verified_read(FileId id) {
-  counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
-
-  // Identical pre-draw + probe machinery to read_range — one session
+  // The same verify phase as read_range, without the early decode: the
+  // session publishes its clean set to a pipelined reader that will plan
+  // its decode from it, so every probe must resolve first. One session
   // replaces a whole stream of per-call verifications, which is exactly
   // where the pipelined client's advantage comes from.
-  std::vector<Candidate> candidates;
-  size_t bbytes = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    GALLOPER_CHECK(id < files_.size());
-    bbytes = file_block_bytes_[id];
-    for (size_t b = 0; b < code_.num_blocks(); ++b) {
-      if (!block_available_locked(id, b)) continue;
-      const double stall_s = injector_ ? injector_->read_latency() : 0;
-      constexpr size_t kReadAttempts = 3;
-      bool readable = true;
-      for (size_t tries = 0; injector_ && injector_->read_fails();) {
-        counters_.transient_faults.fetch_add(1, std::memory_order_relaxed);
-        if (++tries >= kReadAttempts) {
-          readable = false;
-          break;
-        }
-      }
-      if (!readable) continue;
-      candidates.push_back({b, stall_s});
-    }
-  }
-
-  auto probe = [this, id](size_t b) {
-    return [this, id, b] {
-      if (injector_) injector_->crash_point("store.fetch");
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      const auto& blk = files_[id][b];
-      if (!blk.has_value()) return false;
-      return crc32c(*blk) == checksums_[id][b];
-    };
-  };
-  io::FetchSet fetches;
-  std::vector<bool> hedged(code_.num_blocks(), false);
-  const auto hedge_pending = [&](const std::vector<size_t>& pending) {
-    for (size_t b : pending) {
-      if (hedged[b]) continue;
-      hedged[b] = fetches.fetch(b, 0.0, probe(b), /*hedge=*/true, bbytes);
-    }
-  };
-  for (const Candidate& c : candidates)
-    fetches.fetch(c.block, c.stall_s, probe(c.block), /*hedge=*/false, bbytes);
-  // One EXHAUSTIVE await: the session publishes its clean set to a
-  // pipelined reader that will plan its decode from it, so every probe
-  // must resolve first. Hedging keeps the wait bounded by the deadline
-  // rather than the worst injected stall.
-  fetches.await([](const std::vector<size_t>&) { return false; },
-                hedge_pending);
-  fetches.join();
-  fetches.rethrow_any_failure();
-
-  std::vector<size_t> corrupt;
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    for (const Candidate& c : candidates) {
-      if (fetches.outcome(c.block) != io::FetchSet::Outcome::kCorrupt)
-        continue;
-      counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
-      corrupt.push_back(c.block);
-      bump_generation_locked(id, c.block);
-      files_[id][c.block].reset();  // quarantine
-    }
-  }
-  if (!corrupt.empty())
-    counters_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
-  for (size_t b : corrupt) {
-    if (!cluster_.server(server_of(b)).alive()) continue;
-    try {
-      if (repair(id, b))
-        counters_.auto_repairs.fetch_add(1, std::memory_order_relaxed);
-    } catch (const fault::TransientError&) {
-    }
-  }
-
-  ReadSession session;
-  session.clean = fetches.clean_keys();
-  session.block_bytes = bbytes;
-  return session;
+  VerifiedBlocks verified = verify_blocks(id, /*draw_faults=*/true, nullptr);
+  self_heal(id, verified.quarantined);
+  return std::move(verified.session);
 }
 
 bool FileStore::fetch_block_pieces(

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -182,10 +183,6 @@ class FileStore {
 
   // Reads one file, decoding around missing blocks if needed.
   std::optional<Buffer> read(FileId id) const;
-
-  // Reads one file's original bytes without decoding (requires every
-  // data-holding block available) — the analytics fast path.
-  std::optional<Buffer> read_original_only(FileId id) const;
 
   // Data-local map-task read: bytes [block_offset, block_offset + length)
   // of block `b` — one split of core::InputFormat, i.e. original data only,
@@ -359,6 +356,34 @@ class FileStore {
   // every injector draw (latency, transient faults, self-heal repair).
   std::optional<Buffer> read_range_impl(FileId id, size_t offset,
                                         size_t length, bool draw_faults);
+
+  // The one per-block fault draw of every verified read: the injected
+  // stall (latency drawn first), or nullopt when the block's transient
+  // read faults outlast the in-place retries. Caller must NOT hold mu_ —
+  // the injector's callbacks may call back into the store.
+  std::optional<double> draw_fetch_faults() const;
+
+  struct VerifiedBlocks {
+    ReadSession session;              // clean set + block size
+    std::vector<size_t> quarantined;  // blocks this phase quarantined
+  };
+  // The verify phase of read_range and begin_verified_read: draws each
+  // available block's faults (none when !draw_faults), CRC-probes the
+  // blocks concurrently on the async I/O pool with hedging, and
+  // quarantines the mismatches. `on_decodable` (may be null) runs with the
+  // clean set as soon as it is decodable, overlapping the stragglers.
+  VerifiedBlocks verify_blocks(
+      FileId id, bool draw_faults,
+      const std::function<void(const std::vector<size_t>&)>& on_decodable);
+  // Quarantines every suspect that is still resident and still fails its
+  // CRC (re-checked under the exclusive lock), counting one CRC failure
+  // per block and one degraded read if any. Returns the blocks dropped.
+  std::vector<size_t> quarantine(FileId id,
+                                 const std::vector<size_t>& suspects);
+  // Rebuilds quarantined blocks in place through repair(), counting the
+  // auto-repairs; a dead target or exhausted transient retries is left to
+  // scrub/recovery.
+  void self_heal(FileId id, const std::vector<size_t>& blocks);
 
   sim::Cluster& cluster_;
   const codes::ErasureCode& code_;

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/check.h"
@@ -79,10 +80,21 @@ int64_t Flags::get_int(const std::string& name, int64_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  GALLOPER_CHECK_MSG(end && *end == '\0',
+  GALLOPER_CHECK_MSG(!v->empty() && end && *end == '\0',
                      "flag --" << name << " is not an integer: " << *v);
+  GALLOPER_CHECK_MSG(errno != ERANGE,
+                     "flag --" << name << " is out of range: " << *v);
   return parsed;
+}
+
+size_t Flags::get_size(const std::string& name, size_t fallback) const {
+  if (!has(name)) return fallback;
+  const int64_t parsed = get_int(name, 0);
+  GALLOPER_CHECK_MSG(parsed >= 0, "flag --" << name << " must be >= 0: "
+                                            << parsed);
+  return static_cast<size_t>(parsed);
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {

@@ -8,6 +8,7 @@
 // the following token.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -37,6 +38,9 @@ class Flags {
   std::string get_or(const std::string& name,
                      const std::string& fallback) const;
   int64_t get_int(const std::string& name, int64_t fallback) const;
+  // A count, size or offset: like get_int, but a negative value throws
+  // CheckError instead of wrapping to a huge size_t.
+  size_t get_size(const std::string& name, size_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
 
   // Comma-separated doubles, e.g. --perf=1,0.4,1 → {1, 0.4, 1}.

@@ -2,9 +2,13 @@
 
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "cli/archive.h"
 #include "core/galloper.h"
@@ -309,6 +313,27 @@ TEST_F(ArchiveTest, UpdateRejectsUnalignedOrDegraded) {
   fs::remove(cli::block_path(dir_ / "arch", 4));
   EXPECT_THROW(cli::update_archive(dir_ / "arch", 0, Buffer(100)),
                CheckError);
+}
+
+// An offset near SIZE_MAX must not wrap the range check: the update is
+// refused and the archive is left byte-for-byte as it was.
+TEST_F(ArchiveTest, UpdateRejectsOverflowingOffsetAndWritesNothing) {
+  const fs::path in = write_input(2800);
+  cli::encode_archive(in, dir_ / "arch", 4, 2, 1);
+  const auto slurp = [](const fs::path& p) {
+    std::ifstream f(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(f), {});
+  };
+  std::vector<fs::path> files{dir_ / "arch" / "MANIFEST"};
+  for (size_t b = 0; b < 7; ++b)
+    files.push_back(cli::block_path(dir_ / "arch", b));
+  std::vector<std::string> before;
+  for (const fs::path& p : files) before.push_back(slurp(p));
+
+  EXPECT_THROW(cli::update_archive(dir_ / "arch", SIZE_MAX, Buffer(100, 7)),
+               CheckError);
+  for (size_t i = 0; i < files.size(); ++i)
+    EXPECT_EQ(slurp(files[i]), before[i]) << files[i];
 }
 
 TEST_F(ArchiveTest, EmptyInputRejected) {

@@ -42,7 +42,7 @@ TEST_P(EngineParallelTest, AllPathsMatchSerial) {
 
   // encode
   const auto blocks_s = e.encode(file);
-  const auto blocks_p = e.encode_parallel(file, threads());
+  const auto blocks_p = e.encode(file, threads());
   ASSERT_EQ(blocks_p.size(), blocks_s.size());
   for (size_t b = 0; b < blocks_s.size(); ++b)
     EXPECT_EQ(blocks_p[b], blocks_s[b]) << "block " << b;
@@ -52,13 +52,13 @@ TEST_P(EngineParallelTest, AllPathsMatchSerial) {
   for (size_t b = 0; b < blocks_s.size(); ++b)
     if (b != 0 && b != 2) view.emplace(b, blocks_s[b]);
   const auto dec_s = e.decode(view);
-  const auto dec_p = e.decode_parallel(view, threads());
+  const auto dec_p = e.decode(view, threads());
   ASSERT_TRUE(dec_s.has_value());
   ASSERT_TRUE(dec_p.has_value());
   EXPECT_EQ(*dec_p, *dec_s);
   EXPECT_EQ(*dec_s, file);
   const auto fast_s = e.decode_fast(view);
-  const auto fast_p = e.decode_fast_parallel(view, threads());
+  const auto fast_p = e.decode_fast(view, threads());
   ASSERT_TRUE(fast_p.has_value());
   EXPECT_EQ(*fast_p, *fast_s);
   EXPECT_EQ(*fast_p, file);
@@ -67,7 +67,7 @@ TEST_P(EngineParallelTest, AllPathsMatchSerial) {
   std::map<size_t, ConstByteSpan> helpers;
   for (size_t h : code.repair_helpers(0)) helpers.emplace(h, blocks_s[h]);
   const auto rep_s = e.repair_block(0, helpers);
-  const auto rep_p = e.repair_block_parallel(0, helpers, threads());
+  const auto rep_p = e.repair_block(0, helpers, threads());
   ASSERT_TRUE(rep_s.has_value());
   ASSERT_TRUE(rep_p.has_value());
   EXPECT_EQ(*rep_p, *rep_s);
@@ -97,7 +97,7 @@ TEST_P(EngineParallelTest, ReadRangeMatchesSerial) {
     SCOPED_TRACE(testing::Message() << "range [" << off << ", " << off + len
                                     << ")");
     const auto serial = e.read_range(view, off, len);
-    const auto par = e.read_range_parallel(view, off, len, threads());
+    const auto par = e.read_range(view, off, len, threads());
     ASSERT_TRUE(serial.has_value());
     ASSERT_TRUE(par.has_value());
     EXPECT_EQ(*par, *serial);
@@ -117,14 +117,14 @@ TEST_P(EngineParallelTest, UpdateChunkMatchesSerial) {
   const Buffer fresh = random_bytes(chunk(), 1000 + chunk());
   const auto touched_s = e.update_chunk(blocks_s, target, fresh);
   const auto touched_p =
-      e.update_chunk_parallel(blocks_p, target, fresh, threads());
+      e.update_chunk(blocks_p, target, fresh, threads());
   EXPECT_EQ(touched_p, touched_s);
   for (size_t b = 0; b < blocks_s.size(); ++b)
     EXPECT_EQ(blocks_p[b], blocks_s[b]) << "block " << b;
 
   // No-op update: identical data ⇒ empty touched set, both modes.
   Buffer same(fresh);
-  EXPECT_TRUE(e.update_chunk_parallel(blocks_p, target, same, threads())
+  EXPECT_TRUE(e.update_chunk(blocks_p, target, same, threads())
                   .empty());
 }
 
@@ -136,20 +136,20 @@ TEST(EngineParallelErrors, ZeroThreadsRejectedEverywhere) {
   std::map<size_t, ConstByteSpan> view;
   for (size_t b = 0; b < blocks.size(); ++b) view.emplace(b, blocks[b]);
 
-  EXPECT_THROW(e.encode_parallel(file, 0), CheckError);
-  EXPECT_THROW(e.decode_parallel(view, 0), CheckError);
-  EXPECT_THROW(e.decode_fast_parallel(view, 0), CheckError);
-  EXPECT_THROW(e.repair_block_parallel(0, view, 0), CheckError);
-  EXPECT_THROW(e.read_range_parallel(view, 0, 8, 0), CheckError);
-  EXPECT_THROW(e.update_chunk_parallel(blocks, 0, Buffer(64), 0), CheckError);
+  EXPECT_THROW(e.encode(file, 0), CheckError);
+  EXPECT_THROW(e.decode(view, 0), CheckError);
+  EXPECT_THROW(e.decode_fast(view, 0), CheckError);
+  EXPECT_THROW(e.repair_block(0, view, 0), CheckError);
+  EXPECT_THROW(e.read_range(view, 0, 8, 0), CheckError);
+  EXPECT_THROW(e.update_chunk(blocks, 0, Buffer(64), 0), CheckError);
 }
 
 TEST(EngineParallelErrors, KeepsSerialSizeChecks) {
   const core::GalloperCode code(4, 2, 1);
   const CodecEngine& e = code.engine();
   // Non-multiple file size must still throw regardless of thread count.
-  EXPECT_THROW(e.encode_parallel(Buffer(3), 2), CheckError);
-  EXPECT_THROW(e.encode_parallel(Buffer(3), 8), CheckError);
+  EXPECT_THROW(e.encode(Buffer(3), 2), CheckError);
+  EXPECT_THROW(e.encode(Buffer(3), 8), CheckError);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
+#include "core/input_format.h"
 #include "store/file_store.h"
 #include "store/recovery.h"
 #include "util/check.h"
@@ -40,12 +42,21 @@ TEST_F(FileStoreTest, WriteThenReadRoundTrip) {
   EXPECT_EQ(*back, file);
 }
 
+// The analytics fast path: every split of the original data, read with no
+// decode, reassembles the file.
 TEST_F(FileStoreTest, ReadOriginalOnlyFastPath) {
   const Buffer file = make_file();
   const FileId id = fs.write(file);
-  const auto back = fs.read_original_only(id);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, file);
+  const core::InputFormat fmt(code, fs.block_bytes(id));
+  Buffer back(file.size());
+  for (const core::InputFormat::Split& s : fmt.splits()) {
+    const auto bytes =
+        fs.read_original_split(id, s.block, s.block_offset, s.length);
+    ASSERT_TRUE(bytes.has_value());
+    std::copy(bytes->begin(), bytes->end(),
+              back.begin() + static_cast<ptrdiff_t>(s.file_offset));
+  }
+  EXPECT_EQ(back, file);
 }
 
 TEST_F(FileStoreTest, MultipleFilesIndependent) {
@@ -74,7 +85,7 @@ TEST_F(FileStoreTest, OriginalOnlyReadFailsWhenDataBlockDead) {
   const Buffer file = make_file();
   const FileId id = fs.write(file);
   fs.fail_server(3);  // every Galloper block holds original data
-  EXPECT_FALSE(fs.read_original_only(id).has_value());
+  EXPECT_FALSE(fs.read_original_split(id, 3, 0, 64).has_value());
   EXPECT_TRUE(fs.read(id).has_value()) << "decoding path still works";
 }
 
@@ -282,6 +293,84 @@ TEST_F(FileStoreTest, ReadRangeNofaultDrawsNoInjectorDecisions) {
   fs.set_fault_injector(nullptr);
 }
 
+// read_range and begin_verified_read share one verify phase: on identical
+// stores with identically seeded injectors they consume the same number of
+// fault decisions, and each detects, quarantines and heals the same corrupt
+// block exactly once.
+TEST(FileStoreVerifyPhase, ReadRangeAndSessionDrawAndHealIdentically) {
+  struct Env {
+    sim::Simulation simulation;
+    sim::Cluster cluster{simulation, 9, sim::ServerSpec{}};
+    core::GalloperCode code{4, 2, 1};
+    FileStore fs{cluster, code};
+    fault::FaultInjector inj{29};
+  };
+  Rng rng(5);
+  const Buffer file = random_buffer(28 * 256, rng);
+  constexpr size_t kCorrupt = 2;
+  const auto prepare = [&](Env& env) {
+    const FileId id = env.fs.write(file);
+    env.fs.corrupt_block(id, kCorrupt, 17);
+    env.inj.set_read_failure_rate(0.2);
+    env.inj.set_read_latency(0.3, 0.0001);
+    env.fs.set_fault_injector(&env.inj);
+    env.fs.set_block_cache(nullptr);
+    return id;
+  };
+  const auto expect_one_heal = [](const FileStore& fs,
+                                  const FileStore::ReadStats& before) {
+    const FileStore::ReadStats after = fs.read_stats();
+    EXPECT_EQ(after.crc_failures, before.crc_failures + 1);
+    EXPECT_EQ(after.degraded_reads, before.degraded_reads + 1);
+    EXPECT_EQ(after.auto_repairs, before.auto_repairs + 1);
+  };
+
+  Env a, b;
+  const FileId ida = prepare(a);
+  const FileId idb = prepare(b);
+
+  const auto stats_a = a.fs.read_stats();
+  const auto decisions_a = a.inj.stats().decisions;
+  const auto out = a.fs.read_range(ida, 0, file.size());
+  const auto drawn_a = a.inj.stats().decisions - decisions_a;
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, file);
+  expect_one_heal(a.fs, stats_a);
+  EXPECT_TRUE(a.fs.block_available(ida, kCorrupt));
+
+  const auto stats_b = b.fs.read_stats();
+  const auto decisions_b = b.inj.stats().decisions;
+  const auto session = b.fs.begin_verified_read(idb);
+  const auto drawn_b = b.inj.stats().decisions - decisions_b;
+  EXPECT_FALSE(std::count(session.clean.begin(), session.clean.end(),
+                          kCorrupt));
+  expect_one_heal(b.fs, stats_b);
+  EXPECT_TRUE(b.fs.block_available(idb, kCorrupt));
+
+  EXPECT_GT(drawn_a, 0u);
+  EXPECT_EQ(drawn_a, drawn_b);
+  a.fs.set_fault_injector(nullptr);
+  b.fs.set_fault_injector(nullptr);
+}
+
+TEST_F(FileStoreTest, ReadOriginalSplitQuarantinesAndHealsCorruptBlock) {
+  const Buffer file = make_file();
+  const FileId id = fs.write(file);
+  fs.set_block_cache(nullptr);
+  fs.corrupt_block(id, 1, 5);
+  const auto before = fs.read_stats();
+  EXPECT_FALSE(fs.read_original_split(id, 1, 0, 64).has_value());
+  const auto after = fs.read_stats();
+  EXPECT_EQ(after.crc_failures, before.crc_failures + 1);
+  EXPECT_EQ(after.degraded_reads, before.degraded_reads + 1);
+  EXPECT_EQ(after.auto_repairs, before.auto_repairs + 1);
+  ASSERT_TRUE(fs.block_available(id, 1)) << "healed in place";
+  const Buffer block1 = code.encode(file)[1];
+  const auto split = fs.read_original_split(id, 1, 0, 64);
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(*split, Buffer(block1.begin(), block1.begin() + 64));
+}
+
 TEST_F(FileStoreTest, RepairOfHealthyBlockIsNoop) {
   const FileId id = fs.write(make_file());
   const auto helpers = fs.repair(id, 0);
@@ -302,7 +391,7 @@ TEST_F(FileStoreTest, UpdateRangeChangesFileAndKeepsConsistency) {
   EXPECT_FALSE(touched.empty());
   std::copy(fresh.begin(), fresh.end(),
             file.begin() + static_cast<ptrdiff_t>(3 * chunk));
-  EXPECT_EQ(*fs.read_original_only(id), file);
+  EXPECT_EQ(*fs.read(id), file);
   EXPECT_EQ(*fs.read(id), file) << "parity patched consistently";
   EXPECT_TRUE(fs.scrub().empty()) << "checksums refreshed";
 }
@@ -349,7 +438,7 @@ TEST_F(FileStoreTest, ScrubDetectsAndQuarantinesCorruption) {
   // Repair restores the block bit-exactly and a re-scrub is clean.
   ASSERT_TRUE(fs.repair(id, 3).has_value());
   EXPECT_TRUE(fs.scrub().empty());
-  EXPECT_EQ(*fs.read_original_only(id), file);
+  EXPECT_EQ(*fs.read(id), file);
 }
 
 TEST_F(FileStoreTest, ScrubWithoutQuarantineLeavesBlock) {
@@ -403,7 +492,7 @@ TEST(Recovery, RebuildsEverythingBitExact) {
   for (size_t i = 0; i < ids.size(); ++i) {
     for (size_t b = 0; b < code.num_blocks(); ++b)
       EXPECT_TRUE(fs.block_available(ids[i], b));
-    EXPECT_EQ(*fs.read_original_only(ids[i]), files[i]);
+    EXPECT_EQ(*fs.read(ids[i]), files[i]);
   }
 }
 

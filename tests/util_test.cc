@@ -339,6 +339,15 @@ TEST(Flags, ParsesValueBooleanAndPositional) {
   EXPECT_EQ(f.positional()[1], "--not-a-flag");  // after "--" all positional
 }
 
+TEST(Flags, GetSizeRejectsNegativeAndOutOfRange) {
+  const Flags f({"--offset=-1", "--huge=99999999999999999999", "--ok=12"});
+  EXPECT_THROW(f.get_size("offset", 0), CheckError);
+  EXPECT_THROW(f.get_size("huge", 0), CheckError);
+  EXPECT_THROW(f.get_int("huge", 0), CheckError);
+  EXPECT_EQ(f.get_size("ok", 0), 12u);
+  EXPECT_EQ(f.get_size("absent", 7), 7u);
+}
+
 TEST(Flags, RestrictToAcceptsKnownAndBooleanFlags) {
   const Flags f({"--chunk=512", "--stats"}, /*boolean_flags=*/{"stats"});
   EXPECT_NO_THROW(f.restrict_to({"chunk", "threads"}));

@@ -191,14 +191,11 @@ int run(const galloper::Flags& flags) {
 
     if (command == "encode") {
       if (pos.size() != 3) return usage();
-      const int64_t chunk = flags.get_int("chunk", 0);
-      GALLOPER_CHECK_MSG(chunk >= 0, "--chunk must be >= 0");
       const auto m = cli::encode_archive(
-          pos[1], pos[2], static_cast<size_t>(flags.get_int("k", 4)),
-          static_cast<size_t>(flags.get_int("l", 2)),
-          static_cast<size_t>(flags.get_int("g", 1)), flags.get_doubles("perf"),
+          pos[1], pos[2], flags.get_size("k", 4), flags.get_size("l", 2),
+          flags.get_size("g", 1), flags.get_doubles("perf"),
           flags.get_int("resolution", 12), threads_flag(flags),
-          static_cast<size_t>(chunk));
+          flags.get_size("chunk", 0));
       std::printf("encoded %zu bytes into %zu blocks of %zu bytes in %s\n",
                   m.original_bytes, m.k + m.l + m.g, m.block_bytes,
                   pos[2].c_str());
@@ -210,16 +207,11 @@ int run(const galloper::Flags& flags) {
       // the harness wants slack beyond the erasures it schedules).
       galloper::fault::SoakOptions opt;
       opt.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-      opt.ops = static_cast<size_t>(
-          flags.get_int("ops", static_cast<int64_t>(opt.ops)));
-      opt.files = static_cast<size_t>(
-          flags.get_int("files", static_cast<int64_t>(opt.files)));
-      opt.k = static_cast<size_t>(
-          flags.get_int("k", static_cast<int64_t>(opt.k)));
-      opt.l = static_cast<size_t>(
-          flags.get_int("l", static_cast<int64_t>(opt.l)));
-      opt.g = static_cast<size_t>(
-          flags.get_int("g", static_cast<int64_t>(opt.g)));
+      opt.ops = flags.get_size("ops", opt.ops);
+      opt.files = flags.get_size("files", opt.files);
+      opt.k = flags.get_size("k", opt.k);
+      opt.l = flags.get_size("l", opt.l);
+      opt.g = flags.get_size("g", opt.g);
       opt.verbose = true;
       const double seconds = flags.get_double("seconds", 0);
       // --seconds: repeat --ops-sized rounds on derived seeds until the
@@ -241,30 +233,24 @@ int run(const galloper::Flags& flags) {
       if (pos.size() != 1) return usage();
       galloper::client::LoadGenOptions opt;
       opt.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
-      opt.clients = static_cast<size_t>(
-          flags.get_int("clients", static_cast<int64_t>(opt.clients)));
-      opt.ops_per_client = static_cast<size_t>(
-          flags.get_int("ops", static_cast<int64_t>(opt.ops_per_client)));
-      opt.files = static_cast<size_t>(
-          flags.get_int("files", static_cast<int64_t>(opt.files)));
-      opt.k = static_cast<size_t>(flags.get_int("k", static_cast<int64_t>(opt.k)));
-      opt.l = static_cast<size_t>(flags.get_int("l", static_cast<int64_t>(opt.l)));
-      opt.g = static_cast<size_t>(flags.get_int("g", static_cast<int64_t>(opt.g)));
-      opt.chunk_bytes = static_cast<size_t>(
-          flags.get_int("chunk", static_cast<int64_t>(opt.chunk_bytes)));
-      opt.batch_chunks = static_cast<size_t>(
-          flags.get_int("batch", static_cast<int64_t>(opt.batch_chunks)));
+      opt.clients = flags.get_size("clients", opt.clients);
+      opt.ops_per_client = flags.get_size("ops", opt.ops_per_client);
+      opt.files = flags.get_size("files", opt.files);
+      opt.k = flags.get_size("k", opt.k);
+      opt.l = flags.get_size("l", opt.l);
+      opt.g = flags.get_size("g", opt.g);
+      opt.chunk_bytes = flags.get_size("chunk", opt.chunk_bytes);
+      opt.batch_chunks = flags.get_size("batch", opt.batch_chunks);
       opt.zipf_theta = flags.get_double("zipf", 0);
       opt.update_fraction = flags.get_double("updates", 0);
       opt.degraded = flags.has("degraded");
-      opt.corruptions =
-          static_cast<size_t>(flags.get_int("corruptions", 0));
+      opt.corruptions = flags.get_size("corruptions", 0);
       opt.pipelined = !flags.has("serial");
       // --cache=MiB pins a private block cache (0 = off); default -1
       // shares the process-wide GALLOPER_CLIENT_CACHE one. --admit=N pins
       // a private admission gate.
       opt.cache_mib = static_cast<int>(flags.get_int("cache", -1));
-      opt.admit_limit = static_cast<size_t>(flags.get_int("admit", 0));
+      opt.admit_limit = flags.get_size("admit", 0);
       const auto result = galloper::client::run_load(opt);
       std::printf("%s\n", galloper::client::format_result(result).c_str());
       return result.bit_identical ? 0 : 3;
@@ -272,16 +258,13 @@ int run(const galloper::Flags& flags) {
     if (command == "cluster") {
       if (pos.size() != 1) return usage();
       namespace cluster = galloper::cluster;
-      const size_t k = static_cast<size_t>(flags.get_int("k", 4));
-      const size_t l = static_cast<size_t>(flags.get_int("l", 2));
-      const size_t g = static_cast<size_t>(flags.get_int("g", 1));
-      const size_t rolls = static_cast<size_t>(flags.get_int("rolls", 1));
-      const size_t num_files =
-          static_cast<size_t>(flags.get_int("files", 3));
-      const size_t num_readers =
-          static_cast<size_t>(flags.get_int("readers", 3));
-      const size_t chunk_bytes =
-          static_cast<size_t>(flags.get_int("chunk", 4096));
+      const size_t k = flags.get_size("k", 4);
+      const size_t l = flags.get_size("l", 2);
+      const size_t g = flags.get_size("g", 1);
+      const size_t rolls = flags.get_size("rolls", 1);
+      const size_t num_files = flags.get_size("files", 3);
+      const size_t num_readers = flags.get_size("readers", 3);
+      const size_t chunk_bytes = flags.get_size("chunk", 4096);
       const double throttle_mbps = flags.get_double("throttle", 0);
       GALLOPER_CHECK_MSG(rolls >= 1 && num_files >= 1 && chunk_bytes >= 1,
                          "--rolls/--files/--chunk must be >= 1");
@@ -292,8 +275,7 @@ int run(const galloper::Flags& flags) {
                                          galloper::sim::ServerSpec{});
       galloper::store::FileStore fs(sim_cluster, code);
       cluster::CoordinatorOptions copt;
-      copt.repair_workers =
-          static_cast<size_t>(flags.get_int("workers", 2));
+      copt.repair_workers = flags.get_size("workers", 2);
       copt.repair_bytes_per_s = throttle_mbps * 1e6;
       cluster::Coordinator coord(fs, copt);
 
@@ -372,9 +354,9 @@ int run(const galloper::Flags& flags) {
       if (pos.size() != 1) return usage();
       namespace mr = galloper::mr;
       const std::string job = flags.get_or("job", "wordcount");
-      const size_t k = static_cast<size_t>(flags.get_int("k", 4));
-      const size_t l = static_cast<size_t>(flags.get_int("l", 2));
-      const size_t g = static_cast<size_t>(flags.get_int("g", 1));
+      const size_t k = flags.get_size("k", 4);
+      const size_t l = flags.get_size("l", 2);
+      const size_t g = flags.get_size("g", 1);
       const double mb = flags.get_double("mb", 8);
       GALLOPER_CHECK_MSG(mb > 0, "--mb must be positive");
 
@@ -424,7 +406,7 @@ int run(const galloper::Flags& flags) {
 
       mr::StoreRunnerOptions opt;
       opt.threads = threads_flag(flags);
-      opt.reduce_tasks = static_cast<size_t>(flags.get_int("reducers", 0));
+      opt.reduce_tasks = flags.get_size("reducers", 0);
       // Split cap rounded down to whole chunks, so every map boundary
       // stays chunk- (hence record-) aligned. Default: ~4 tasks per block
       // — several tasks per map slot without tiny splits.
@@ -472,15 +454,14 @@ int run(const galloper::Flags& flags) {
     if (command == "repair") {
       if (pos.size() != 2 || !flags.has("block")) return usage();
       sweep_archive_dir(pos[1]);
-      const auto helpers = cli::repair_archive(
-          pos[1], static_cast<size_t>(flags.get_int("block", 0)),
-          threads_flag(flags));
+      const size_t block = flags.get_size("block", 0);
+      const auto helpers =
+          cli::repair_archive(pos[1], block, threads_flag(flags));
       if (!helpers) {
         std::fprintf(stderr, "repair failed: insufficient blocks present\n");
         return 1;
       }
-      std::printf("repaired block %lld reading blocks:",
-                  static_cast<long long>(flags.get_int("block", 0)));
+      std::printf("repaired block %zu reading blocks:", block);
       for (size_t h : *helpers) std::printf(" %zu", h);
       std::printf("\n");
       return 0;
@@ -502,7 +483,7 @@ int run(const galloper::Flags& flags) {
       ss << in.rdbuf();
       const std::string bytes = ss.str();
       const auto touched = cli::update_archive(
-          pos[1], static_cast<size_t>(flags.get_int("offset", 0)),
+          pos[1], flags.get_size("offset", 0),
           galloper::ConstByteSpan(
               reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()),
           threads_flag(flags));
