@@ -15,7 +15,6 @@
 #include "io/fetch.h"
 #include "rt/queue.h"
 #include "util/check.h"
-#include "util/crc32c.h"
 
 namespace galloper::client {
 
@@ -188,6 +187,13 @@ struct SlotStage {
   Buffer data;
   BlockCache::EntryRef entry;
   const uint8_t* base() const { return entry ? entry->data() : data.data(); }
+  void publish(Buffer bytes, BlockCache::EntryRef shared) {
+    std::lock_guard<std::mutex> lk(mu);
+    if (filled) return;
+    data = std::move(bytes);
+    entry = std::move(shared);
+    filled = true;
+  }
 };
 
 // A batch's fetch in flight: one FetchSet keyed by plan slot, plus the
@@ -228,14 +234,13 @@ std::optional<Buffer> StripedReader::read_pipelined(store::FileId id,
   // recompile) FileStore::read_range would execute for this pattern, which
   // is what makes the pipelined bytes bit-identical to the direct ones.
   const auto plan = eng.plan_decode_fast(session.clean);
+  if (!plan->range_solvable(chunk, offset, length))
+    return std::nullopt;  // matches direct
   const size_t first_chunk = offset / chunk;
   const size_t last_chunk = (offset + length - 1) / chunk;
-  for (size_t c = first_chunk; c <= last_chunk; ++c)
-    if (!plan->row(c).solvable) return std::nullopt;  // matches direct
 
-  BlockCache* cache = store_.block_cache();
+  const BlockCache* cache = store_.block_cache();
   const bool use_cache = cache != nullptr && cache->enabled();
-  const uint64_t cache_uid = store_.cache_uid();
   // Generation snapshot, taken once per stream: entries are served only at
   // the generation this stream saw, so a concurrent update/repair can never
   // slip refreshed bytes into a range the session verified differently.
@@ -289,63 +294,51 @@ std::optional<Buffer> StripedReader::read_pipelined(store::FileId id,
     return pieces;
   };
 
-  // Probe bodies shared by the primary fetch and its hedged re-fetch.
+  // One fetch op for slot s of batch f: the primary (with its pre-drawn
+  // stall) or a stall-free hedge running the same probe, charged to the
+  // hedge budget by the bytes it moves.
   //
   // Pieces mode (cache off): copy exactly the byte ranges the decode plan
   // touches into a private scratch block.
   //
-  // Cache mode: fetch the WHOLE block as an atomic {bytes, crc, generation}
-  // copy, verify the CRC here on the client (so a future hit is as
-  // trustworthy as a verified read), publish it to the cache at the copy's
-  // own generation, and stage the shared entry for this batch's decode.
-  // A CRC mismatch means silently corrupted stored bytes — report kCorrupt
-  // so the stream falls back to direct read_range, which quarantines and
-  // repairs; nothing is ever cached unverified.
-  const auto make_piece_probe = [&](size_t block_id,
-                                    const std::vector<std::pair<size_t,
-                                                                size_t>>*
-                                        piece_list,
-                                    SlotStage* slot) {
+  // Cache mode: the store's verified load — a whole-block copy, CRC-checked
+  // and inserted into the cache at the copy's own generation — staged as
+  // the shared entry for this batch's decode. A vanished or corrupt block
+  // reports kCorrupt, so the stream falls back to direct read_range, which
+  // quarantines and repairs; nothing is ever cached unverified.
+  const auto submit = [&](InFlightBatch& f, size_t s, double stall_s,
+                          bool hedge) {
+    auto& store = store_;
+    const size_t block_id = plan->source_blocks()[s];
     const size_t block_bytes = session.block_bytes;
-    auto& store = store_;
-    return [&store, id, block_id, piece_list, slot, block_bytes] {
-      Buffer scratch(block_bytes);  // pooled, indeterminate
-      if (!store.fetch_block_pieces(id, block_id, *piece_list,
-                                    ByteSpan(scratch.data(), scratch.size())))
-        return false;  // block vanished → stale session
-      std::lock_guard<std::mutex> lk(slot->mu);
-      if (!slot->filled) {
-        slot->data = std::move(scratch);
-        slot->filled = true;
-      }
-      return true;
-    };
+    SlotStage* slot = f.slots[s].get();
+    if (use_cache) {
+      return f.fetches->fetch(
+          s, stall_s,
+          [&store, id, block_id, slot] {
+            auto entry = store.load_verified_block(id, block_id);
+            if (entry == nullptr) return false;
+            slot->publish(Buffer(), std::move(entry));
+            return true;
+          },
+          hedge, block_bytes);
+    }
+    const auto* pieces = &f.pieces[s];
+    size_t piece_bytes = 0;
+    for (const auto& [lo, hi] : *pieces) piece_bytes += hi - lo;
+    return f.fetches->fetch(
+        s, stall_s,
+        [&store, id, block_id, pieces, slot, block_bytes] {
+          Buffer scratch(block_bytes);  // pooled, indeterminate
+          if (!store.fetch_block_pieces(id, block_id, *pieces,
+                                        ByteSpan(scratch.data(),
+                                                 scratch.size())))
+            return false;  // block vanished → stale session
+          slot->publish(std::move(scratch), nullptr);
+          return true;
+        },
+        hedge, piece_bytes);
   };
-  const auto make_cache_probe = [&](size_t block_id, SlotStage* slot) {
-    auto& store = store_;
-    BlockCache* c = cache;
-    const uint64_t uid = cache_uid;
-    return [&store, c, uid, id, block_id, slot] {
-      auto copy = store.read_block_for_cache(id, block_id);
-      if (!copy) return false;  // block vanished → stale session
-      if (crc32c(ConstByteSpan(copy->bytes)) != copy->crc)
-        throw SessionInvalid();  // corrupt → direct read quarantines+repairs
-      auto entry = std::make_shared<const Buffer>(std::move(copy->bytes));
-      c->put(uid, id, block_id, copy->generation, entry);
-      std::lock_guard<std::mutex> lk(slot->mu);
-      if (!slot->filled) {
-        slot->entry = std::move(entry);
-        slot->filled = true;
-      }
-      return true;
-    };
-  };
-  const auto piece_bytes =
-      [](const std::vector<std::pair<size_t, size_t>>& pieces) {
-        size_t total = 0;
-        for (const auto& [lo, hi] : pieces) total += hi - lo;
-        return total;
-      };
 
   // Fetch stage: keeps up to `depth` batches' FetchSets in flight, so one
   // batch's injected stalls overlap its neighbors' (and the decode of
@@ -367,25 +360,13 @@ std::optional<Buffer> StripedReader::read_pipelined(store::FileId id,
     fault::FaultInjector* inj = store_.fault_injector();
     for (size_t s = 0; s < num_slots; ++s) {
       if (f.pieces[s].empty()) continue;
-      const size_t block_id = plan->source_blocks()[s];
       if (use_cache) {
-        if (auto hit = cache->get(cache_uid, id, block_id, gens[block_id]);
-            hit != nullptr && hit->size() == session.block_bytes) {
-          f.cached[s] = std::move(hit);
-          continue;
-        }
+        const size_t block_id = plan->source_blocks()[s];
+        f.cached[s] = store_.cached_block(id, block_id, gens[block_id]);
+        if (f.cached[s]) continue;
       }
       f.slots[s] = std::make_unique<SlotStage>();
-      const double stall_s = inj ? inj->read_latency() : 0;
-      SlotStage* slot = f.slots[s].get();
-      if (use_cache) {
-        f.fetches->fetch(s, stall_s, make_cache_probe(block_id, slot),
-                         /*hedge=*/false, session.block_bytes);
-      } else {
-        f.fetches->fetch(s, stall_s,
-                         make_piece_probe(block_id, &f.pieces[s], slot),
-                         /*hedge=*/false, piece_bytes(f.pieces[s]));
-      }
+      submit(f, s, inj ? inj->read_latency() : 0, /*hedge=*/false);
     }
     return f;
   };
@@ -399,18 +380,8 @@ std::optional<Buffer> StripedReader::read_pipelined(store::FileId id,
     f.fetches->await(
         [](const std::vector<size_t>&) { return false; },
         [&](const std::vector<size_t>& pending) {
-          for (size_t s : pending) {
-            if (hedged[s]) continue;
-            SlotStage* slot = f.slots[s].get();
-            const size_t block_id = plan->source_blocks()[s];
-            hedged[s] =
-                use_cache
-                    ? f.fetches->fetch(s, 0.0, make_cache_probe(block_id, slot),
-                                       /*hedge=*/true, session.block_bytes)
-                    : f.fetches->fetch(
-                          s, 0.0, make_piece_probe(block_id, &f.pieces[s], slot),
-                          /*hedge=*/true, piece_bytes(f.pieces[s]));
-          }
+          for (size_t s : pending)
+            if (!hedged[s]) hedged[s] = submit(f, s, 0.0, /*hedge=*/true);
         });
     f.fetches->join();
     f.fetches->rethrow_any_failure();
@@ -424,8 +395,8 @@ std::optional<Buffer> StripedReader::read_pipelined(store::FileId id,
   };
 
   // Decode one fetched batch: executes the session plan's rows over the
-  // staged slot buffers — the same run_row calls FileStore::read_range
-  // makes, reading sources at bases[slot] + pos·chunk + offset. Unstaged
+  // staged slot buffers — the same execute_range FileStore::read_range
+  // runs, reading sources at bases[slot] + pos·chunk + offset. Unstaged
   // slots stay nullptr (rows never touch them: the bases table is driven
   // by the same source lists the fetch staged). Output lands straight in
   // `out` (disjoint per-batch regions), so deliver is just completion
@@ -440,12 +411,8 @@ std::optional<Buffer> StripedReader::read_pipelined(store::FileId id,
         bases[s] = item.slots[s]->base();
       }
     }
-    for (size_t c = d.cstart; c < d.cend; ++c) {
-      const size_t clo = std::max(d.lo, c * chunk);
-      const size_t chi = std::min(d.hi, (c + 1) * chunk);
-      plan->run_row(plan->row(c), out.data() + (clo - offset), bases.data(),
-                    chunk, clo - c * chunk, chi - clo);
-    }
+    plan->execute_range(bases.data(), chunk, d.lo, d.hi - d.lo,
+                        out.data() + (d.lo - offset));
   };
 
   // Single-batch fast path: nothing to overlap, so skip the stage threads

@@ -10,9 +10,9 @@
 //    plan touches (CodecPlan::row_sources), via fetch_block_pieces;
 //  - batches ride a sliding window of hedged FetchSets (queue_depth deep),
 //    so slow helpers stall the window, not the stream;
-//  - the decode executes the SESSION plan's rows directly (plan_decode_fast
-//    keyed by the session's clean set + CodecPlan::run_row), which is the
-//    exact schedule FileStore::read_range runs — pipelined bytes are
+//  - the decode runs the SESSION plan (plan_decode_fast keyed by the
+//    session's clean set) through CodecPlan::execute_range, the same
+//    row-range executor FileStore::read_range runs — pipelined bytes are
 //    bit-identical to direct ones by construction;
 //  - AdmissionControl caps how many clients occupy the shared AsyncIo pool
 //    at once, so N clients queue at the door instead of convoying all
@@ -27,9 +27,12 @@
 // process-wide one), read_range tries FileStore::read_range_cached FIRST —
 // a range fully covered by current-generation verified entries is served
 // with no session, no admission ticket, and no I/O pool — and each
-// pipeline batch consults the cache per plan slot, fetching only the
-// missing blocks (whole blocks, CRC-verified against the stored checksum
-// before insertion, so future hits are as trustworthy as verified reads).
+// pipeline batch looks up every plan slot at the stream's generation
+// snapshot (FileStore::cached_block), fetching only the missing blocks
+// through FileStore::load_verified_block (whole blocks, CRC-verified and
+// cached by the store, so future hits are as trustworthy as verified
+// reads). The client never touches the cache or a checksum itself; a
+// vanished or corrupt block fails its slot and the stream falls back.
 #pragma once
 
 #include <condition_variable>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 
 #include "gf/region.h"
 #include "la/solve.h"
@@ -43,26 +42,6 @@ class ExecTimer {
   PlanOp op_;
   uint64_t t0_;
 };
-
-// Fans body(row, lo, hi) over `threads` pool runners: `rows` output rows ×
-// cache-line-aligned byte slices of [0, chunk). With rows >= threads each
-// row is one unit (no intra-row split needed); otherwise every row splits
-// into enough slices to feed all runners. threads == 1 degrades to a plain
-// nested loop over the same units, so serial and parallel results are
-// byte-identical by construction. Only read_range still uses this (its rows
-// are clipped to the request); the whole-row paths run through
-// CodecPlan::execute.
-void for_rows_sliced(size_t rows, size_t chunk, size_t threads,
-                     const std::function<void(size_t, size_t, size_t)>& body) {
-  if (rows == 0 || chunk == 0) return;
-  const size_t per_row = rows >= threads ? 1 : (threads + rows - 1) / rows;
-  const auto slices = rt::slice_ranges(chunk, per_row, rt::kCacheLine);
-  rt::parallel_for(rt::ThreadPool::global(), rows * slices.size(), threads,
-                   [&](size_t unit) {
-                     const rt::SliceRange& s = slices[unit % slices.size()];
-                     body(unit / slices.size(), s.lo, s.hi);
-                   });
-}
 
 // Base-pointer table for a pattern plan: one entry per source block, in
 // source_blocks() order. The only per-call setup execution needs.
@@ -464,15 +443,11 @@ std::optional<Buffer> CodecEngine::read_range(
                                << ") beyond file size " << file_bytes);
   if (length == 0) return Buffer{};
 
-  const size_t first_chunk = offset / chunk;
-  const size_t last_chunk = (offset + length - 1) / chunk;
-
   // Shares the decode_fast plan (identical per-chunk schedule). Solvability
   // is per row, so only the chunks OVERLAPPING the request gate the read —
   // an unrecoverable chunk elsewhere in the file is irrelevant.
   const auto plan = pattern_plan(PlanOp::kDecodeFast, ids, SIZE_MAX);
-  for (size_t c = first_chunk; c <= last_chunk; ++c)
-    if (!plan->row(c).solvable) return std::nullopt;
+  if (!plan->range_solvable(chunk, offset, length)) return std::nullopt;
 
   // One pass over the covered chunks: available ones copy their overlap
   // with the request, missing ones reconstruct ONLY the overlapping bytes
@@ -480,18 +455,8 @@ std::optional<Buffer> CodecEngine::read_range(
   const auto bases = bases_of(*plan, blocks);
   Buffer range(length);  // every byte covered by exactly one chunk overlap
   const ExecTimer timer(PlanOp::kDecodeFast);
-  for_rows_sliced(
-      last_chunk - first_chunk + 1, chunk, threads,
-      [&](size_t r, size_t slo, size_t shi) {
-        const size_t c = first_chunk + r;
-        // Intersection of this byte slice with the requested range, in
-        // file coordinates.
-        const size_t lo = std::max(offset, c * chunk + slo);
-        const size_t hi = std::min(offset + length, c * chunk + shi);
-        if (lo >= hi) return;
-        plan->run_row(plan->row(c), range.data() + (lo - offset),
-                      bases.data(), chunk, lo - c * chunk, hi - lo);
-      });
+  plan->execute_range(bases.data(), chunk, offset, length, range.data(),
+                      threads);
   return range;
 }
 

@@ -69,6 +69,43 @@ void CodecPlan::run_row(const Row& row, uint8_t* dst,
       srcs.data(), nterms);
 }
 
+bool CodecPlan::range_solvable(size_t chunk, size_t offset,
+                               size_t length) const {
+  if (length == 0) return true;
+  for (size_t c = offset / chunk; c <= (offset + length - 1) / chunk; ++c)
+    if (!rows_[c].solvable) return false;
+  return true;
+}
+
+void CodecPlan::execute_range(const uint8_t* const* bases, size_t chunk,
+                              size_t offset, size_t length, uint8_t* dst,
+                              size_t threads) const {
+  if (length == 0) return;
+  const size_t first = offset / chunk;
+  const size_t nrows = (offset + length - 1) / chunk - first + 1;
+  // With rows >= threads each row is one unit; otherwise every row splits
+  // into enough slices to feed all runners.
+  const size_t per_row = nrows >= threads ? 1 : (threads + nrows - 1) / nrows;
+  const std::vector<rt::SliceRange> slices =
+      rt::slice_ranges(chunk, per_row, rt::kCacheLine);
+  const auto run_unit = [&](size_t u) {
+    const size_t c = first + u / slices.size();
+    const rt::SliceRange& s = slices[u % slices.size()];
+    // This slice of chunk c, clipped to the range, in file coordinates.
+    const size_t lo = std::max(offset, c * chunk + s.lo);
+    const size_t hi = std::min(offset + length, c * chunk + s.hi);
+    if (lo < hi)
+      run_row(rows_[c], dst + (lo - offset), bases, chunk, lo - c * chunk,
+              hi - lo);
+  };
+  const size_t units = nrows * slices.size();
+  if (threads <= 1 || units <= 1) {
+    for (size_t u = 0; u < units; ++u) run_unit(u);
+  } else {
+    rt::parallel_for(rt::ThreadPool::global(), units, threads, run_unit);
+  }
+}
+
 namespace {
 
 struct BatchCounters {

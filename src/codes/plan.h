@@ -104,7 +104,7 @@ class CodecPlan {
   // The combo terms one row reads (empty for verbatim-copy rows, whose only
   // source is (copy_slot, copy_pos)). Lets a caller that stages blocks
   // itself — the striped client — fetch exactly the (slot, pos) ranges a
-  // row will touch before handing run_row a bases table.
+  // row will touch before handing execute_range a bases table.
   std::span<const Source> row_sources(const Row& row) const {
     if (row.copy_slot >= 0) return {};
     return std::span<const Source>(srcs_.data() + row.begin,
@@ -113,11 +113,17 @@ class CodecPlan {
   // Wall-clock seconds spent compiling (solve + layout), for the counters.
   double plan_seconds() const { return plan_seconds_; }
 
-  // Executes one row over `len` bytes: reads sources at chunk offset
-  // `src_off`, writes dst[0, len). The copy/combo branch and the zero-term
-  // zeroing case match the uncached path byte-for-byte.
-  void run_row(const Row& row, uint8_t* dst, const uint8_t* const* bases,
-               size_t chunk, size_t src_off, size_t len) const;
+  // The row-range executor every ranged read shares (row c of a
+  // decode_fast plan is chunk c). range_solvable: every row overlapping
+  // file bytes [offset, offset + length) is solvable — chunks outside the
+  // range never gate a read. execute_range writes those bytes to
+  // dst[0, length), running each row only over its overlap with the range
+  // (a missing chunk never needs a scratch chunk), as rows × cache-line
+  // slices over `threads` pool runners (threads == 1: a plain loop).
+  // Sources address as bases[slot] + pos·chunk + intra-chunk offset.
+  bool range_solvable(size_t chunk, size_t offset, size_t length) const;
+  void execute_range(const uint8_t* const* bases, size_t chunk, size_t offset,
+                     size_t length, uint8_t* dst, size_t threads = 1) const;
 
   // Work-unit byte cap for execute: rows split into tiles of at most
   // this many bytes, so a huge cell still load-balances across pool
@@ -149,6 +155,12 @@ class CodecPlan {
 
  private:
   friend class CodecEngine;  // sole builder
+
+  // Executes one row over `len` bytes: reads sources at chunk offset
+  // `src_off`, writes dst[0, len). The copy/combo branch and the zero-term
+  // zeroing case match the uncached path byte-for-byte.
+  void run_row(const Row& row, uint8_t* dst, const uint8_t* const* bases,
+               size_t chunk, size_t src_off, size_t len) const;
 
   std::vector<Row> rows_;
   std::vector<gf::Elem> coeffs_;  // flattened terms, parallel to srcs_

@@ -102,11 +102,21 @@ void FileStore::bump_generation_locked(FileId id, size_t b) {
   if (cache_) cache_->invalidate(cache_uid_, id, b);
 }
 
-uint64_t FileStore::block_generation(FileId id, size_t b) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  GALLOPER_CHECK(id < files_.size());
-  GALLOPER_CHECK(b < code_.num_blocks());
-  return block_gens_[id][b];
+void FileStore::drop_block_locked(FileId id, size_t b) {
+  bump_generation_locked(id, b);
+  files_[id][b].reset();
+}
+
+bool FileStore::crc_clean_locked(FileId id, size_t b) const {
+  const auto& blk = files_[id][b];
+  return blk.has_value() && crc32c(*blk) == checksums_[id][b];
+}
+
+bool FileStore::quarantine_locked(FileId id, size_t b) {
+  if (!files_[id][b].has_value() || crc_clean_locked(id, b)) return false;
+  counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
+  drop_block_locked(id, b);
+  return true;
 }
 
 std::vector<uint64_t> FileStore::block_generations(FileId id) const {
@@ -134,10 +144,37 @@ std::optional<FileStore::VerifiedBlockCopy> FileStore::read_block_for_cache(
   return copy;
 }
 
+std::shared_ptr<const Buffer> FileStore::cached_block_locked(
+    FileId id, size_t b, uint64_t generation) const {
+  if (cache_ == nullptr || !cache_->enabled()) return nullptr;
+  auto entry = cache_->get(cache_uid_, id, b, generation);
+  if (entry == nullptr || entry->size() != file_block_bytes_[id])
+    return nullptr;
+  return entry;
+}
+
+std::shared_ptr<const Buffer> FileStore::cached_block(
+    FileId id, size_t b, uint64_t generation) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  GALLOPER_CHECK(id < files_.size());
+  GALLOPER_CHECK(b < code_.num_blocks());
+  return cached_block_locked(id, b, generation);
+}
+
+std::shared_ptr<const Buffer> FileStore::load_verified_block(FileId id,
+                                                             size_t b) const {
+  auto copy = read_block_for_cache(id, b);
+  if (!copy.has_value() || crc32c(ConstByteSpan(copy->bytes)) != copy->crc)
+    return nullptr;
+  auto entry = std::make_shared<const Buffer>(std::move(copy->bytes));
+  if (cache_ != nullptr && cache_->enabled())
+    cache_->put(cache_uid_, id, b, copy->generation, entry);
+  return entry;
+}
+
 std::optional<Buffer> FileStore::read_range_cached(FileId id, size_t offset,
                                                    size_t length) {
-  client::BlockCache* cache = cache_;
-  if (cache == nullptr || !cache->enabled() || length == 0)
+  if (cache_ == nullptr || !cache_->enabled() || length == 0)
     return std::nullopt;
   // Gather every current-generation entry for this file under one shared
   // hold — the generations read here are current while we hold the lock,
@@ -154,13 +191,9 @@ std::optional<Buffer> FileStore::read_range_cached(FileId id, size_t offset,
     GALLOPER_CHECK_MSG(offset + length <= fbytes,
                        "range [" << offset << ", " << offset + length
                                  << ") beyond file size " << fbytes);
-    for (size_t b = 0; b < code_.num_blocks(); ++b) {
-      auto e = cache->get(cache_uid_, id, b, block_gens_[id][b]);
-      if (e != nullptr && e->size() == file_block_bytes_[id]) {
-        entries[b] = std::move(e);
+    for (size_t b = 0; b < code_.num_blocks(); ++b)
+      if ((entries[b] = cached_block_locked(id, b, block_gens_[id][b])))
         cached_blocks.push_back(b);
-      }
-    }
   }
   if (cached_blocks.empty()) return std::nullopt;
 
@@ -168,20 +201,12 @@ std::optional<Buffer> FileStore::read_range_cached(FileId id, size_t offset,
   // with the data blocks cached the covered rows are verbatim copies —
   // pure memcpy. Unsolvable coverage → the real read path takes over.
   const auto plan = code_.engine().plan_decode_fast(cached_blocks);
-  const size_t first = offset / chunk;
-  const size_t last = (offset + length - 1) / chunk;
-  for (size_t c = first; c <= last; ++c)
-    if (!plan->row(c).solvable) return std::nullopt;
+  if (!plan->range_solvable(chunk, offset, length)) return std::nullopt;
   std::vector<const uint8_t*> bases(plan->source_blocks().size());
   for (size_t s = 0; s < bases.size(); ++s)
     bases[s] = entries[plan->source_blocks()[s]]->data();
   Buffer out(length);
-  for (size_t c = first; c <= last; ++c) {
-    const size_t lo = std::max(offset, c * chunk);
-    const size_t hi = std::min(offset + length, (c + 1) * chunk);
-    plan->run_row(plan->row(c), out.data() + (lo - offset), bases.data(),
-                  chunk, lo - c * chunk, hi - lo);
-  }
+  plan->execute_range(bases.data(), chunk, offset, length, out.data());
   return out;
 }
 
@@ -282,8 +307,7 @@ void FileStore::fail_server(size_t server) {
   for (size_t b = 0; b < placement_.size(); ++b) {
     if (placement_[b] != server) continue;
     for (FileId id = 0; id < files_.size(); ++id) {
-      if (files_[id][b].has_value()) bump_generation_locked(id, b);
-      files_[id][b].reset();
+      if (files_[id][b].has_value()) drop_block_locked(id, b);
     }
   }
 }
@@ -343,62 +367,37 @@ std::optional<Buffer> FileStore::read_original_split(FileId id, size_t b,
                                  << block_offset + length
                                  << ") beyond block size "
                                  << file_block_bytes_[id]);
-    if (cache_ != nullptr && cache_->enabled())
-      entry = cache_->get(cache_uid_, id, b, block_gens_[id][b]);
-    if (entry == nullptr || entry->size() < block_offset + length) {
-      entry = nullptr;
+    entry = cached_block_locked(id, b, block_gens_[id][b]);
+    if (entry == nullptr) {
       counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
       if (!block_available_locked(id, b)) return std::nullopt;
     }
   }
-  if (entry != nullptr) {
-    Buffer out(length);
-    std::copy_n(entry->data() + block_offset, length, out.data());
-    return out;
-  }
-  // Pre-draw the fault schedule on this thread (one block, the same draw
-  // as read_range's). The injected stall is slept on the CALLING thread: a
-  // split read is the map slot's own local disk read, with no second
-  // replica to hedge to — a stalled split is a straggler the job's other
-  // map slots absorb, which is exactly the behavior the paper measures.
-  const std::optional<double> stall_s = draw_fetch_faults();
-  if (!stall_s.has_value()) return std::nullopt;
-  if (*stall_s > 0)
-    std::this_thread::sleep_for(std::chrono::duration<double>(*stall_s));
+  if (entry == nullptr) {
+    // Pre-draw the fault schedule on this thread (one block, the same draw
+    // as read_range's). The injected stall is slept on the CALLING thread:
+    // a split read is the map slot's own local disk read, with no second
+    // replica to hedge to — a stalled split is a straggler the job's other
+    // map slots absorb, which is exactly the behavior the paper measures.
+    const std::optional<double> stall_s = draw_fetch_faults();
+    if (!stall_s.has_value()) return std::nullopt;
+    if (*stall_s > 0)
+      std::this_thread::sleep_for(std::chrono::duration<double>(*stall_s));
 
-  // Verify-on-read: CRC the whole block under the shared lock. A clean
-  // block yields the range plus a cache fill copied under the SAME hold as
-  // the generation (the BlockCache insertion contract).
-  std::optional<Buffer> out;
-  std::optional<VerifiedBlockCopy> fill;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto& blk = files_[id][b];
-    if (!blk.has_value() || !cluster_.server(placement_[b]).alive())
+    // Verify-on-read through the verified load (which also fills the
+    // cache). A null load is a lost block or a CRC mismatch; quarantine
+    // re-checks under the exclusive lock, so only a still-corrupt block is
+    // dropped and self-healed. Either way the caller's degraded ranged
+    // read serves the bytes (clean again if the self-heal landed).
+    entry = load_verified_block(id, b);
+    if (entry == nullptr) {
+      self_heal(id, quarantine(id, {b}));
       return std::nullopt;
-    if (crc32c(*blk) == checksums_[id][b]) {
-      out.emplace(length);
-      std::copy_n(blk->data() + block_offset, length, out->data());
-      if (cache_ != nullptr && cache_->enabled()) {
-        fill.emplace();
-        fill->bytes.resize(blk->size());
-        std::copy(blk->begin(), blk->end(), fill->bytes.begin());
-        fill->generation = block_gens_[id][b];
-      }
     }
   }
-  if (out.has_value()) {
-    if (fill.has_value())
-      cache_->put(cache_uid_, id, b, fill->generation,
-                  std::make_shared<const Buffer>(std::move(fill->bytes)));
-    return out;
-  }
-
-  // CRC mismatch: quarantine + self-heal like read_range, then nullopt
-  // either way — the caller's degraded ranged read serves the bytes (clean
-  // again if the self-heal landed).
-  self_heal(id, quarantine(id, {b}));
-  return std::nullopt;
+  Buffer out(length);
+  std::copy_n(entry->data() + block_offset, length, out.data());
+  return out;
 }
 
 std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
@@ -428,9 +427,7 @@ std::vector<size_t> FileStore::update_range(FileId id, size_t offset,
     // the damage into a "valid" state no scrub could ever catch. Quarantine
     // the block and refuse instead — the caller repairs, then retries.
     for (size_t b = 0; b < code_.num_blocks(); ++b) {
-      if (crc32c(*files_[id][b]) == checksums_[id][b]) continue;
-      bump_generation_locked(id, b);
-      files_[id][b].reset();
+      if (!quarantine_locked(id, b)) continue;
       GALLOPER_CHECK_MSG(false, "update found block "
                                     << b
                                     << " silently corrupt (quarantined): "
@@ -511,9 +508,7 @@ std::vector<FileStore::CorruptBlock> FileStore::scrub(bool quarantine) {
     rt::parallel_for(rt::ThreadPool::global(), jobs.size(),
                      rt::ThreadPool::default_threads(), [&](size_t j) {
                        const CorruptBlock& job = jobs[j];
-                       if (crc32c(*files_[job.file][job.block]) !=
-                           checksums_[job.file][job.block])
-                         bad[j] = 1;
+                       bad[j] = !crc_clean_locked(job.file, job.block);
                      });
   }
 
@@ -526,14 +521,11 @@ std::vector<FileStore::CorruptBlock> FileStore::scrub(bool quarantine) {
   for (size_t j = 0; j < jobs.size(); ++j) {
     if (!bad[j]) continue;
     const CorruptBlock& c = jobs[j];
-    if (!files_[c.file][c.block].has_value()) continue;
-    if (crc32c(*files_[c.file][c.block]) == checksums_[c.file][c.block])
+    if (!files_[c.file][c.block].has_value() ||
+        crc_clean_locked(c.file, c.block))
       continue;
     corrupt.push_back(c);
-    if (quarantine) {
-      bump_generation_locked(c.file, c.block);
-      files_[c.file][c.block].reset();
-    }
+    if (quarantine) drop_block_locked(c.file, c.block);
   }
   return corrupt;
 }
@@ -648,9 +640,7 @@ FileStore::VerifiedBlocks FileStore::verify_blocks(
     return [this, id, b] {
       if (injector_) injector_->crash_point("store.fetch");
       std::shared_lock<std::shared_mutex> lock(mu_);
-      const auto& blk = files_[id][b];
-      if (!blk.has_value()) return false;
-      return crc32c(*blk) == checksums_[id][b];
+      return crc_clean_locked(id, b);
     };
   };
   io::FetchSet fetches;
@@ -707,14 +697,8 @@ std::vector<size_t> FileStore::quarantine(FileId id,
   std::vector<size_t> quarantined;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    for (size_t b : suspects) {
-      const auto& blk = files_[id][b];
-      if (!blk.has_value() || crc32c(*blk) == checksums_[id][b]) continue;
-      counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
-      bump_generation_locked(id, b);
-      files_[id][b].reset();
-      quarantined.push_back(b);
-    }
+    for (size_t b : suspects)
+      if (quarantine_locked(id, b)) quarantined.push_back(b);
   }
   if (!quarantined.empty())
     counters_.degraded_reads.fetch_add(1, std::memory_order_relaxed);
@@ -887,13 +871,8 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
         for (size_t h : helpers)
           helpers_ok &= block_available_locked(id, h);
         if (!helpers_ok) helpers = available_blocks_locked(id);
-        for (size_t h : helpers) {
-          if (crc32c(*files_[id][h]) == checksums_[id][h]) continue;
-          counters_.crc_failures.fetch_add(1, std::memory_order_relaxed);
-          bump_generation_locked(id, h);
-          files_[id][h].reset();
-          helper_quarantined = true;
-        }
+        for (size_t h : helpers)
+          helper_quarantined |= quarantine_locked(id, h);
       }
     }
     if (already_repaired) return std::vector<size_t>{};
@@ -968,7 +947,7 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
               if (std::find(helpers.begin(), helpers.end(), s) !=
                   helpers.end())
                 continue;
-              if (crc32c(*files_[id][s]) != checksums_[id][s]) continue;
+              if (!crc_clean_locked(id, s)) continue;
               spares.push_back(s);
             }
           }

@@ -101,17 +101,19 @@ class FileStore {
   // ---- Verified client-side block cache ----------------------------------
   //
   // The store participates in client::BlockCache (default: the process-wide
-  // instance) through three invariants:
+  // instance) through three invariants, all enforced here (callers never
+  // touch the cache directly):
   //  - every block carries a GENERATION, bumped under the exclusive lock by
   //    every mutation or quarantine (update install, repair install, CRC
   //    quarantine, fail_server) — and each bump also drops the cache entry;
-  //  - cache fills go through read_block_for_cache(), which copies
-  //    {bytes, stored checksum, generation} under ONE shared-lock hold, so
-  //    the caller can CRC-verify the copy and key it by a generation that
-  //    was provably current when the bytes were read;
-  //  - read_range probes the cache first (read_range_cached) and serves
-  //    entirely from current-generation verified entries when they cover
-  //    the range — no probe fetches, no I/O pool, memcpy for clean rows.
+  //  - the one way in is load_verified_block(): a read_block_for_cache()
+  //    copy of {bytes, stored checksum, generation} taken under ONE
+  //    shared-lock hold, CRC-verified, then inserted at that generation —
+  //    a generation that was provably current when the bytes were read;
+  //  - the one way out is a size-checked lookup at a given generation
+  //    (cached_block); read_range tries read_range_cached first, served
+  //    entirely from current-generation entries when they cover the
+  //    range — no probe fetches, no I/O pool, memcpy for clean rows.
   // corrupt_block() deliberately does NOT bump: silent corruption doesn't
   // change the block's logical content, and the cached bytes are exactly
   // what a verified read would reconstruct.
@@ -121,11 +123,8 @@ class FileStore {
   // cache must OUTLIVE the store — ~FileStore drops its entries from it.
   void set_block_cache(client::BlockCache* cache) { cache_ = cache; }
   client::BlockCache* block_cache() const { return cache_; }
-  // Process-unique id this store keys its cache entries with.
-  uint64_t cache_uid() const { return cache_uid_; }
 
-  // Current generation of one block / of every block of a file.
-  uint64_t block_generation(FileId id, size_t block) const;
+  // Current generation of every block of a file.
   std::vector<uint64_t> block_generations(FileId id) const;
 
   struct VerifiedBlockCopy {
@@ -137,6 +136,19 @@ class FileStore {
   // nullopt if the block is lost or its server is dead.
   std::optional<VerifiedBlockCopy> read_block_for_cache(FileId id,
                                                         size_t block) const;
+
+  // The cached bytes of block `b` verified at `generation` (a snapshot
+  // from block_generations), or null: cache detached or disabled, a miss,
+  // a stale generation, or an entry that is not a whole block.
+  std::shared_ptr<const Buffer> cached_block(FileId id, size_t b,
+                                             uint64_t generation) const;
+
+  // A read_block_for_cache copy of block `b` that matches the checksum
+  // copied with it, put in the cache at the copy's generation when the
+  // cache is enabled. Null when the block is lost, its server is dead, or
+  // the copy fails its CRC (whether to quarantine is the caller's call).
+  std::shared_ptr<const Buffer> load_verified_block(FileId id,
+                                                    size_t b) const;
 
   // Serves [offset, offset + length) purely from current-generation cached
   // blocks when they form a decodable plan for the covered chunks. nullopt
@@ -204,7 +216,8 @@ class FileStore {
 
   struct ReadStats {
     size_t verified_reads = 0;  // read_range calls + client read sessions
-    size_t crc_failures = 0;    // blocks that failed their CRC on read
+    size_t crc_failures = 0;    // blocks quarantined by a read, an update
+                                // or a repair (scrub: its own list)
     size_t degraded_reads = 0;  // reads that decoded around a corrupt block
     size_t transient_faults = 0;  // injected read faults retried in place
     size_t auto_repairs = 0;    // corrupt blocks rebuilt by a read
@@ -339,10 +352,15 @@ class FileStore {
   ScrubReport scrub_and_repair();
 
  private:
-  // _locked helpers assume the caller holds mu_ (shared suffices).
+  // _locked helpers assume the caller holds mu_ (shared suffices unless
+  // noted).
   std::optional<ConstByteSpan> block_locked(FileId id, size_t b) const;
   bool block_available_locked(FileId id, size_t b) const;
   std::vector<size_t> available_blocks_locked(FileId id) const;
+  // Block (id, b) is resident and matches its write-time CRC-32C.
+  bool crc_clean_locked(FileId id, size_t b) const;
+  std::shared_ptr<const Buffer> cached_block_locked(FileId id, size_t b,
+                                                    uint64_t generation) const;
   // Looks up / compiles-and-pins the repair plan for (block, sorted
   // helpers) under plans_mu_.
   std::shared_ptr<const codes::CodecPlan> pinned_repair_plan(
@@ -352,6 +370,11 @@ class FileStore {
   // holds mu_ EXCLUSIVE (the bump must be ordered with the mutation it
   // describes).
   void bump_generation_locked(FileId id, size_t b);
+  // Bump, then drop the bytes: the block becomes an erasure. Exclusive.
+  void drop_block_locked(FileId id, size_t b);
+  // Drops block (id, b) if it is resident and fails its CRC, counting one
+  // CRC failure; returns whether it did. Exclusive.
+  bool quarantine_locked(FileId id, size_t b);
   // Shared body of read_range/read_range_nofault: `draw_faults` gates
   // every injector draw (latency, transient faults, self-heal repair).
   std::optional<Buffer> read_range_impl(FileId id, size_t offset,

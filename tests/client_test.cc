@@ -305,6 +305,14 @@ TEST(AdmissionControlTest, LimitBoundsConcurrency) {
       int prev = max_inside.load();
       while (now > prev && !max_inside.compare_exchange_weak(prev, now)) {
       }
+      // Hold the ticket until some other stream has queued behind the
+      // gate (bounded, so a gate that never blocks fails instead of
+      // hanging): `waited` then cannot depend on thread scheduling.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (gate.stats().waited < 1 &&
+             std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       inside.fetch_sub(1);
     });
@@ -503,6 +511,58 @@ TEST(BlockCacheTest, CachedReadsBitIdenticalToUncached) {
       }
     }
     EXPECT_GT(cache.stats().hits, 0u);
+  }
+
+  // Every single and double erasure of (4,2,1), over ranges straddling
+  // chunk and batch (2-chunk) boundaries: direct and multi-batch striped
+  // reads, cache off and on, and read_range_cached once the striped read
+  // has filled the cache, all deliver the same bytes.
+  core::GalloperCode code(4, 2, 1);
+  const size_t chunk = 64;
+  Rng rng(43);
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const size_t ranges[][2] = {
+      {chunk - 1, 2},          // chunk boundary
+      {2 * chunk - 3, 6},      // batch boundary
+      {chunk + 5, 4 * chunk},  // three batches, unaligned ends
+      {1, file.size() - 1},    // every batch
+  };
+  ReaderOptions opt;
+  opt.batch_chunks = 2;
+  for (size_t a = 0; a < code.num_blocks(); ++a) {
+    for (size_t b = a; b < code.num_blocks(); ++b) {  // b == a: single
+      BlockCache cache(16 << 20, /*shards=*/2);
+      sim::Simulation sim;
+      sim::Cluster cluster(sim, code.num_blocks(), sim::ServerSpec{});
+      store::FileStore cached_fs(cluster, code);
+      store::FileStore plain_fs(cluster, code);
+      cached_fs.set_block_cache(&cache);
+      plain_fs.set_block_cache(nullptr);
+      const store::FileId id = cached_fs.write(file);
+      ASSERT_EQ(plain_fs.write(file), id);
+      for (store::FileStore* fs : {&cached_fs, &plain_fs}) {
+        fs->fail_server(a);
+        fs->fail_server(b);
+      }
+      StripedReader cached_reader(cached_fs, opt);
+      StripedReader plain_reader(plain_fs, opt);
+      for (const auto& r : ranges) {
+        const Buffer want(file.begin() + r[0], file.begin() + r[0] + r[1]);
+        const auto direct_off = plain_fs.read_range(id, r[0], r[1]);
+        const auto striped_off = plain_reader.read_range(id, r[0], r[1]);
+        const auto striped_on = cached_reader.read_range(id, r[0], r[1]);
+        const auto hot = cached_fs.read_range_cached(id, r[0], r[1]);
+        const auto direct_on = cached_fs.read_range(id, r[0], r[1]);
+        for (const auto* got :
+             {&direct_off, &striped_off, &striped_on, &hot, &direct_on}) {
+          ASSERT_TRUE(got->has_value())
+              << "erased {" << a << "," << b << "} off=" << r[0];
+          EXPECT_EQ(**got, want)
+              << "erased {" << a << "," << b << "} off=" << r[0]
+              << " len=" << r[1];
+        }
+      }
+    }
   }
 }
 

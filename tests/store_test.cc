@@ -644,6 +644,7 @@ TEST_F(FileStoreTest, UpdateRefusesSilentlyCorruptStripe) {
   const Buffer patch(chunk, 0x5A);
   EXPECT_THROW(fs.update_range(id, 0, patch), CheckError);
   EXPECT_EQ(fs.lost_blocks(id), std::vector<size_t>{2});
+  EXPECT_EQ(fs.read_stats().crc_failures, 1u);
 
   // Repair, then the same update goes through and reads verify.
   ASSERT_TRUE(fs.repair(id, 2).has_value());
