@@ -5,17 +5,17 @@
 // Four scenarios — {uniform, zipf} popularity × {clean, degraded} faults —
 // each run twice from the SAME seed: once with the serial client (every
 // batch a full FileStore::read_range call, strictly one at a time per
-// client) and once with the pipelined StripedReader (one verified-read
-// session per call, sliding window of hedged batch FetchSets, plan-driven
-// decode overlapping the next batch's fetches). Every read in BOTH runs is
-// verified against an in-memory mirror, so the ops/s and p50/p99/p99.9
+// client) and once with the StripedReader (one verified gather per call:
+// each block the plan reads fetched and CRC-checked once, hedged, then one
+// plan-driven decode; "pipelined" in the JSON keys). Every read in BOTH
+// runs is verified against an in-memory mirror, so the ops/s and p50/p99/p99.9
 // numbers are only reported for byte-correct runs; the binary exits
 // nonzero if any run was not bit-identical.
 //
 // The speedup column is ratio-based (same machine, same injected-stall
 // schedule on both sides), so the CI floor is machine-independent. The
 // ≥ 2× pipelined-vs-serial assertion only fires on multi-core hosts: on a
-// 1-CPU container the decode/fetch overlap has no spare core to land on
+// 1-CPU container the concurrent fetches have no spare core to land on
 // (injected stalls still overlap — they are sleeps — so the ratio stays
 // > 1, but the 2× headline needs real parallelism).
 //

@@ -6,7 +6,7 @@
 //   uncached  cache detached (set_block_cache(nullptr)): every read_range
 //             is a full verified probe (CRC every needed block) + decode.
 //   warm      a private cache attached, one unmeasured priming pass, then
-//             the timed pass through the pipelined StripedReader — hot
+//             the timed pass through the StripedReader — hot
 //             blocks are served from verified cached bytes (row copies,
 //             no probes, no I/O pool).
 // Every read in BOTH phases is byte-compared against an in-memory mirror,
@@ -129,7 +129,7 @@ CacheCell run_cell(double theta) {
   cell.uncached_mib_per_s = uncached_s > 0 ? mib / uncached_s : 0;
 
   // Warm: attach the cache, prime it with one unmeasured pass, then time
-  // the identical schedule through the pipelined client.
+  // the identical schedule through the striped client.
   store.set_block_cache(cache.get());
   client::StripedReader reader(store);
   for (const Read& r : schedule)

@@ -51,16 +51,15 @@ class ZipfPicker {
   std::vector<double> cdf_;
 };
 
-// The serial baseline the pipelined client is measured against: the same
-// per-batch granularity, but each batch is a full FileStore::read_range
-// call (probe + decode), strictly one at a time.
+// The serial baseline the striped client is measured against: the range
+// in batches of batch_bytes, each a full FileStore::read_range call (probe
+// every block + decode), strictly one at a time.
 std::optional<Buffer> serial_read(store::FileStore& store, store::FileId id,
                                   size_t offset, size_t length,
                                   size_t batch_bytes) {
   Buffer out(length, 0);
   for (size_t lo = offset; lo < offset + length;) {
-    // Batch boundaries at batch_bytes granularity in FILE coordinates, so
-    // the batches line up with the pipelined client's.
+    // Batch boundaries at batch_bytes granularity in FILE coordinates.
     const size_t hi =
         std::min(offset + length, (lo / batch_bytes + 1) * batch_bytes);
     const auto part = store.read_range(id, lo, hi - lo);
@@ -142,10 +141,7 @@ LoadGenResult run_load(const LoadGenOptions& opt) {
   std::atomic<bool> done{false};
 
   const auto client_loop = [&](Rng rng) {
-    ReaderOptions ropt;
-    ropt.batch_chunks = opt.batch_chunks;
-    ropt.admission = private_gate.get();
-    StripedReader reader(store, ropt);
+    StripedReader reader(store, ReaderOptions{.admission = private_gate.get()});
     for (size_t op = 0; op < opt.ops_per_client; ++op) {
       const size_t f = picker.pick(rng);
       const bool do_update =
@@ -230,6 +226,20 @@ LoadGenResult run_load(const LoadGenOptions& opt) {
   if (chaos.joinable()) chaos.join();
   for (const std::exception_ptr& e : thread_errors)
     if (e) std::rethrow_exception(e);
+
+  // Untimed sweep: every file read whole through the striped client and
+  // compared with the mirror. A client read checks only the blocks it
+  // uses, so a chaos flip no timed read happened to cover would otherwise
+  // go unseen; the sweep's reads verify every block of every file and land
+  // in the fault counters below, not in ops, bytes or latency.
+  if (opt.verify) {
+    StripedReader reader(store, ReaderOptions{.admission = private_gate.get()});
+    for (size_t f = 0; f < opt.files; ++f) {
+      const auto got = reader.read_range(f, 0, file_bytes);
+      if (!got.has_value() || *got != mirror[f])
+        mirror_mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 
   const store::FileStore::ReadStats stats1 = store.read_stats();
   const ClientStats client1 = client_stats();

@@ -6,12 +6,13 @@
 // so latency quantiles measure the SYSTEM, not a queue of our own making).
 // File popularity is uniform or Zipf(theta); a degraded mode attaches a
 // FaultInjector with latency spikes and a chaos thread that corrupts live
-// blocks mid-run, exercising hedged fetches, session fallbacks, and
+// blocks mid-run, exercising hedged fetches, client fallbacks, and
 // read-triggered auto-repair under concurrency.
 //
 // Every read is verified against an in-memory mirror of the written files
 // (bit_identical in the result), so the throughput/latency numbers are only
-// reported for runs whose bytes were right.
+// reported for runs whose bytes were right. After the timed phase an
+// untimed sweep reads every file whole and checks it too.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +43,7 @@ struct LoadGenOptions {
 
   // Client plumbing.
   bool pipelined = true;    // false = direct FileStore::read_range per batch
-  size_t batch_chunks = 4;
+  size_t batch_chunks = 4;  // chunks per direct read of the serial client
   bool verify = true;       // check every read against the mirror
   // Client block cache for the run's store: -1 = the process-wide cache
   // (GALLOPER_CLIENT_CACHE), 0 = off (a private disabled cache — fault
@@ -86,7 +87,8 @@ struct LoadGenResult {
   uint64_t cache_hit_bytes = 0;
   double cache_hit_rate = 0;
 
-  uint64_t mirror_mismatches = 0;     // verified reads that differed
+  uint64_t mirror_mismatches = 0;     // verified reads (and sweep reads)
+                                      // that differed
   bool bit_identical = true;          // mirror_mismatches == 0
 };
 

@@ -1,38 +1,44 @@
-// Pipelined striped client: StripedReader / StripedWriter stream a file
-// through fetch→decode→deliver (resp. slice→encode→assemble) stages over
-// rt::BoundedQueue, so the next batch's block fetches (and their injected
-// stalls) overlap the current batch's decode instead of serializing.
+// Striped client. StripedReader serves a ranged read of a coded file by
+// fetching exactly the blocks its decode plan reads; StripedWriter streams
+// a write through slice→encode→assemble stages over rt::BoundedQueue, so
+// the next slice's encode overlaps the current slice's assembly.
 //
-// Why a client layer wins over per-call FileStore reads:
-//  - ONE verified-read session per stream (FileStore::begin_verified_read)
-//    replaces a full CRC probe of every block per read_range call — the
-//    per-batch cost drops to fetching exactly the byte ranges the decode
-//    plan touches (CodecPlan::row_sources), via fetch_block_pieces;
-//  - batches ride a sliding window of hedged FetchSets (queue_depth deep),
-//    so slow helpers stall the window, not the stream;
-//  - the decode runs the SESSION plan (plan_decode_fast keyed by the
-//    session's clean set) through CodecPlan::execute_range, the same
-//    row-range executor FileStore::read_range runs — pipelined bytes are
-//    bit-identical to direct ones by construction;
+// A StripedReader read, after a cache miss (below), is one
+// FileStore::gather_range and one CodecPlan::execute_range on the calling
+// thread:
+//  - the plan is decode_fast keyed by the blocks available at one
+//    shared-lock snapshot (the same plan, cache hit or deterministic
+//    recompile, FileStore::read_range executes for that pattern), so the
+//    client's bytes are bit-identical to direct ones by construction;
+//  - one walk of the covered rows (CodecPlan::range_pieces) names each
+//    block's byte pieces, and one FetchSet fetches each block the plan
+//    reads once — hedged when a fetch stalls past the deadline;
+//  - each fetch CRC-checks its block in the same shared-lock hold that
+//    copies it, so a client read verifies every block whose bytes it uses
+//    and never a block it does not use (stripe-wide checks stay with
+//    FileStore::read_range, update, repair and scrub);
 //  - AdmissionControl caps how many clients occupy the shared AsyncIo pool
 //    at once, so N clients queue at the door instead of convoying all
 //    their fetches into one saturated pool.
 //
-// Staleness: a session's clean set is a snapshot. If a concurrent reader
-// quarantines a block mid-stream, fetch_block_pieces reports it and the
-// reader falls back to plain FileStore::read_range for that call (counted
-// in ClientStats::fallbacks) — correctness never depends on the snapshot.
+// Fallback: if a fetched block vanished or failed its CRC, the store has
+// already quarantined and self-healed what was still corrupt, and the
+// reader falls back to FileStore::read_range_nofault for that call — the
+// gather already drew the read's fault schedule, so the retry draws none.
+// ClientStats::fallbacks counts the stale snapshots (a planned block
+// vanished under a concurrent quarantine, kill or repair); corruption the
+// gather caught itself is a degraded read, counted in the store's
+// ReadStats.
 //
 // Caching: when the store has a client::BlockCache attached (the default
 // process-wide one), read_range tries FileStore::read_range_cached FIRST —
 // a range fully covered by current-generation verified entries is served
-// with no session, no admission ticket, and no I/O pool — and each
-// pipeline batch looks up every plan slot at the stream's generation
-// snapshot (FileStore::cached_block), fetching only the missing blocks
-// through FileStore::load_verified_block (whole blocks, CRC-verified and
-// cached by the store, so future hits are as trustworthy as verified
-// reads). The client never touches the cache or a checksum itself; a
-// vanished or corrupt block fails its slot and the stream falls back.
+// with no gather, no admission ticket, and no I/O pool — and the gather
+// stages a current-generation entry for every planned block that has one,
+// fetching only the missing blocks through FileStore::load_verified_block
+// (whole blocks, CRC-verified and cached by the store, so future hits are
+// as trustworthy as verified reads). The client never touches the cache
+// or a checksum itself.
 #pragma once
 
 #include <condition_variable>
@@ -41,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "io/async.h"
@@ -108,12 +113,12 @@ class AdmissionControl {
 // share them, like the AsyncIo ledger) — snapshotted for --stats and the
 // load generator.
 struct ClientStats {
-  uint64_t reads = 0;          // pipelined read_range calls
-  uint64_t writes = 0;         // pipelined write calls
+  uint64_t reads = 0;          // StripedReader read_range calls
+  uint64_t writes = 0;         // StripedWriter write calls
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
-  uint64_t batches = 0;        // fetch→decode batches processed
-  uint64_t fallbacks = 0;      // stale sessions retried via direct read
+  uint64_t batches = 0;        // store gathers (reads not served by cache)
+  uint64_t fallbacks = 0;      // stale gathers retried via direct read
   uint64_t cache_reads = 0;    // reads served entirely from the block cache
 };
 ClientStats client_stats();
@@ -123,11 +128,6 @@ ClientStats client_stats();
 util::LatencyHistogram& client_latency_histogram();
 
 struct ReaderOptions {
-  // Stripe chunks per pipeline batch (per-batch fetch/decode granularity).
-  size_t batch_chunks = 4;
-  // Stage queue capacity AND the fetch window depth (in-flight batch
-  // FetchSets). 0 → rt::queue_depth() (GALLOPER_QUEUE_DEPTH).
-  size_t queue_depth = 0;
   // null → AdmissionControl::global().
   AdmissionControl* admission = nullptr;
 };
@@ -136,16 +136,13 @@ class StripedReader {
  public:
   explicit StripedReader(store::FileStore& store, ReaderOptions opt = {});
 
-  // Pipelined equivalent of FileStore::read_range — same bytes, same
-  // nullopt-when-unreconstructable semantics. Thread-safe (stateless
-  // between calls beyond the shared counters).
+  // Same bytes as FileStore::read_range, same nullopt-when-
+  // unreconstructable semantics. Thread-safe (stateless between calls
+  // beyond the shared counters).
   std::optional<Buffer> read_range(store::FileId id, size_t offset,
                                    size_t length);
 
  private:
-  std::optional<Buffer> read_pipelined(store::FileId id, size_t offset,
-                                       size_t length);
-
   store::FileStore& store_;
   ReaderOptions opt_;
 };

@@ -30,19 +30,6 @@ uint64_t now_ns() {
           .count());
 }
 
-// Records the byte-moving phase of a data path into the per-op counters on
-// scope exit. Constructed AFTER planning/solvability checks so plan and
-// execute time never mix.
-class ExecTimer {
- public:
-  explicit ExecTimer(PlanOp op) : op_(op), t0_(now_ns()) {}
-  ~ExecTimer() { record_exec_time(op_, now_ns() - t0_); }
-
- private:
-  PlanOp op_;
-  uint64_t t0_;
-};
-
 // Base-pointer table for a pattern plan: one entry per source block, in
 // source_blocks() order. The only per-call setup execution needs.
 std::vector<const uint8_t*> bases_of(

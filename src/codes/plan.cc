@@ -77,6 +77,35 @@ bool CodecPlan::range_solvable(size_t chunk, size_t offset,
   return true;
 }
 
+std::vector<CodecPlan::Pieces> CodecPlan::range_pieces(size_t chunk,
+                                                       size_t offset,
+                                                       size_t length) const {
+  std::vector<Pieces> pieces(src_blocks_.size());
+  const auto add = [&](size_t slot, size_t lo, size_t hi) {
+    Pieces& p = pieces[slot];
+    if (!p.empty() && p.back().second == lo) {
+      p.back().second = hi;
+    } else {
+      p.emplace_back(lo, hi);
+    }
+  };
+  if (length == 0) return pieces;
+  for (size_t c = offset / chunk; c <= (offset + length - 1) / chunk; ++c) {
+    // Row c's overlap with the range, in intra-chunk coordinates.
+    const size_t il = std::max(offset, c * chunk) - c * chunk;
+    const size_t ih = std::min(offset + length, (c + 1) * chunk) - c * chunk;
+    const Row& row = rows_[c];
+    if (row.copy_slot >= 0) {
+      add(static_cast<size_t>(row.copy_slot), row.copy_pos * chunk + il,
+          row.copy_pos * chunk + ih);
+    } else {
+      for (const Source& s : row_sources(row))
+        add(s.slot, s.pos * chunk + il, s.pos * chunk + ih);
+    }
+  }
+  return pieces;
+}
+
 void CodecPlan::execute_range(const uint8_t* const* bases, size_t chunk,
                               size_t offset, size_t length, uint8_t* dst,
                               size_t threads) const {
@@ -323,6 +352,16 @@ void record_exec_time(PlanOp op, uint64_t ns) {
   OpCounters& c = op_counters()[static_cast<size_t>(op)];
   c.exec_ns.fetch_add(ns, std::memory_order_relaxed);
   c.execs.fetch_add(1, std::memory_order_relaxed);
+}
+
+ExecTimer::ExecTimer(PlanOp op)
+    : op_(op), t0_(std::chrono::steady_clock::now()) {}
+
+ExecTimer::~ExecTimer() {
+  record_exec_time(op_, static_cast<uint64_t>(
+                            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                std::chrono::steady_clock::now() - t0_)
+                                .count()));
 }
 
 void reset_plan_op_stats() {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -30,6 +31,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "gf/gf256.h"
@@ -102,9 +104,8 @@ class CodecPlan {
   // engine-owned encode plan this is empty (the single source is the file).
   const std::vector<size_t>& source_blocks() const { return src_blocks_; }
   // The combo terms one row reads (empty for verbatim-copy rows, whose only
-  // source is (copy_slot, copy_pos)). Lets a caller that stages blocks
-  // itself — the striped client — fetch exactly the (slot, pos) ranges a
-  // row will touch before handing execute_range a bases table.
+  // source is (copy_slot, copy_pos)); range_pieces turns them into the
+  // byte ranges a ranged read fetches.
   std::span<const Source> row_sources(const Row& row) const {
     if (row.copy_slot >= 0) return {};
     return std::span<const Source>(srcs_.data() + row.begin,
@@ -124,6 +125,13 @@ class CodecPlan {
   bool range_solvable(size_t chunk, size_t offset, size_t length) const;
   void execute_range(const uint8_t* const* bases, size_t chunk, size_t offset,
                      size_t length, uint8_t* dst, size_t threads = 1) const;
+  // The bytes execute_range reads for the same range, per slot: the
+  // block-coordinate pieces [lo, hi) it touches, from one walk of the
+  // overlapping rows (adjacent pieces merged). A slot with no pieces is
+  // never read, so a caller that stages blocks itself fetches only these.
+  using Pieces = std::vector<std::pair<size_t, size_t>>;
+  std::vector<Pieces> range_pieces(size_t chunk, size_t offset,
+                                   size_t length) const;
 
   // Work-unit byte cap for execute: rows split into tiles of at most
   // this many bytes, so a huge cell still load-balances across pool
@@ -244,6 +252,21 @@ PlanOpStats plan_op_stats(PlanOp op);
 void record_plan_time(PlanOp op, uint64_t ns);
 void record_exec_time(PlanOp op, uint64_t ns);
 void reset_plan_op_stats();
+
+// Records the byte-moving phase of a data path into the per-op counters on
+// scope exit. Constructed AFTER planning/solvability checks so plan and
+// execute time never mix.
+class ExecTimer {
+ public:
+  explicit ExecTimer(PlanOp op);
+  ~ExecTimer();
+  ExecTimer(const ExecTimer&) = delete;
+  ExecTimer& operator=(const ExecTimer&) = delete;
+
+ private:
+  PlanOp op_;
+  std::chrono::steady_clock::time_point t0_;
+};
 
 // Batched-execution accounting (process-wide, monotone): every
 // execute call records how many plan rows it dispatched and how many

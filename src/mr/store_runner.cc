@@ -88,7 +88,7 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   // Each task reads ONLY its split's original bytes (admission-gated, CRC-
   // verified, cache-filling); a nullopt means the block is lost or was
   // quarantined, and the task falls back to a degraded ranged read of the
-  // SAME file range through the pipelined client (which takes its own
+  // SAME file range through the striped client (which takes its own
   // admission ticket — ours is released first). Map output is hash-
   // partitioned per task as it is emitted, so the shuffle below never
   // touches a global intermediate.

@@ -14,7 +14,7 @@
 //    admission-gated, and never decoding or touching parity bytes on the
 //    clean path;
 //  * a split whose block is lost / quarantined mid-job falls back to a
-//    degraded ranged read of the same bytes through the pipelined client
+//    degraded ranged read of the same bytes through the striped client
 //    (client::StripedReader → plan-cached decode of just the missing
 //    chunks), so jobs complete bit-identically to LocalRunner::run_plain
 //    under fault injection;

@@ -15,12 +15,13 @@
 namespace galloper::store {
 
 // Every store data path that touches more than one block runs in parallel:
-// read_range and repair gather their blocks as concurrent CRC-probe
-// fetches on the async I/O pool (io::AsyncIo) and start decoding as soon
-// as a decodable subset is clean; scrub's pure-CPU checksum sweep stays on
-// the compute pool (rt::parallel_for) — it scales with cores, not with
-// in-flight syscalls, and its in-memory latencies must not pollute the
-// kFetch histogram that feeds the hedge deadline.
+// read_range, gather_range and repair fetch their blocks as concurrent
+// CRC-checking fetches on the async I/O pool (io::AsyncIo), and read_range
+// and repair start decoding as soon as a decodable subset is clean;
+// scrub's pure-CPU checksum sweep stays on the compute pool
+// (rt::parallel_for) — it scales with cores, not with in-flight syscalls,
+// and its in-memory latencies must not pollute the kFetch histogram that
+// feeds the hedge deadline.
 // Determinism contract: ALL fault-injector decisions (latency,
 // transient failures) are pre-drawn on the calling thread in block order
 // before anything is submitted, so the injector's rng sequence is
@@ -609,7 +610,7 @@ FileStore::VerifiedBlocks FileStore::verify_blocks(
   counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
 
   VerifiedBlocks out;
-  size_t& bbytes = out.session.block_bytes;  // what each CRC probe reads
+  size_t bbytes = 0;  // what each CRC probe reads
   std::vector<size_t> available;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -620,8 +621,8 @@ FileStore::VerifiedBlocks FileStore::verify_blocks(
   // Pre-draw the fault schedule on this thread, in block order, so
   // counters and rng state never depend on I/O timing. A block whose
   // reads keep failing is simply left out.
-  // The nofault form draws NOTHING: the caller (a stale-session fallback)
-  // already paid this read's schedule — see the header.
+  // The nofault form draws NOTHING: the caller (a client's fallback after
+  // a failed gather) already paid this read's schedule — see the header.
   std::vector<Candidate> candidates;
   for (size_t b : available) {
     const std::optional<double> stall_s =
@@ -657,14 +658,10 @@ FileStore::VerifiedBlocks FileStore::verify_blocks(
     fetches.fetch(c.block, c.stall_s, probe(c.block), /*hedge=*/false, bbytes);
   // Early-ready step: await() unblocks as soon as a decodable subset is
   // clean, so the caller's decode overlaps the straggler probes.
-  if (on_decodable) {
-    fetches.await(
-        [&](const std::vector<size_t>& clean) {
-          return code_.decodable(clean);
-        },
-        hedge_pending);
-    on_decodable(fetches.clean_keys());
-  }
+  fetches.await(
+      [&](const std::vector<size_t>& clean) { return code_.decodable(clean); },
+      hedge_pending);
+  on_decodable(fetches.clean_keys());
 
   // Every probe must still resolve before ANY mutation — a straggler
   // finding corruption counts, and the quarantine below resets buffers a
@@ -683,7 +680,7 @@ FileStore::VerifiedBlocks FileStore::verify_blocks(
     if (fetches.outcome(c.block) == io::FetchSet::Outcome::kCorrupt)
       suspects.push_back(c.block);
   out.quarantined = quarantine(id, suspects);
-  out.session.clean = fetches.clean_keys();
+  out.clean = fetches.clean_keys();
   return out;
 }
 
@@ -767,7 +764,7 @@ std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
         std::tie(out, decode_authoritative) = decode_view(clean);
       });
   if (!decode_authoritative && !out.has_value())
-    out = decode_view(verified.session.clean).first;
+    out = decode_view(verified.clean).first;
 
   // The nofault form skips the self-heal (repair draws a gather +
   // write-fault schedule); its quarantines heal on the next scrub or
@@ -776,33 +773,132 @@ std::optional<Buffer> FileStore::read_range_impl(FileId id, size_t offset,
   return out;
 }
 
-FileStore::ReadSession FileStore::begin_verified_read(FileId id) {
-  // The same verify phase as read_range, without the early decode: the
-  // session publishes its clean set to a pipelined reader that will plan
-  // its decode from it, so every probe must resolve first. One session
-  // replaces a whole stream of per-call verifications, which is exactly
-  // where the pipelined client's advantage comes from.
-  VerifiedBlocks verified = verify_blocks(id, /*draw_faults=*/true, nullptr);
-  self_heal(id, verified.quarantined);
-  return std::move(verified.session);
-}
-
-bool FileStore::fetch_block_pieces(
-    FileId id, size_t b, const std::vector<std::pair<size_t, size_t>>& pieces,
-    ByteSpan dst) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  GALLOPER_CHECK(id < files_.size());
-  GALLOPER_CHECK(b < code_.num_blocks());
-  const auto& blk = files_[id][b];
-  if (!blk.has_value() || !cluster_.server(placement_[b]).alive())
-    return false;
-  GALLOPER_CHECK_MSG(dst.size() >= blk->size(),
-                     "fetch_block_pieces dst smaller than the block");
-  for (const auto& [lo, hi] : pieces) {
-    GALLOPER_CHECK(lo <= hi && hi <= blk->size());
-    if (hi > lo) std::memcpy(dst.data() + lo, blk->data() + lo, hi - lo);
+FileStore::Gather FileStore::gather_range(FileId id, size_t offset,
+                                          size_t length) {
+  counters_.verified_reads.fetch_add(1, std::memory_order_relaxed);
+  const codes::CodecEngine& eng = code_.engine();
+  // One shared-lock snapshot: the block size, the available blocks (the
+  // plan key) and the generations a cache hit must match.
+  size_t bbytes = 0;
+  std::vector<size_t> key;
+  std::vector<uint64_t> gens;
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    GALLOPER_CHECK(id < files_.size());
+    bbytes = file_block_bytes_[id];
+    key = available_blocks_locked(id);
+    gens = block_gens_[id];
   }
-  return true;
+  Gather g;
+  g.chunk = bbytes / eng.stripes_per_block();
+  const size_t fbytes = eng.num_chunks() * g.chunk;
+  GALLOPER_CHECK_MSG(offset + length <= fbytes,
+                     "range [" << offset << ", " << offset + length
+                               << ") beyond file size " << fbytes);
+
+  // Plan, then look up each block the plan reads at the snapshot
+  // generation and pre-draw the faults of each miss, in slot order (the
+  // determinism contract above). A block whose transient faults outlast
+  // the retries leaves the key and the plan is rebuilt without it; blocks
+  // already looked up keep their hit or their draw.
+  const bool use_cache = cache_ != nullptr && cache_->enabled();
+  std::vector<std::shared_ptr<const Buffer>> hit(code_.num_blocks());
+  std::vector<std::optional<double>> stall(code_.num_blocks());
+  std::vector<bool> looked(code_.num_blocks(), false);
+  std::vector<codes::CodecPlan::Pieces> pieces;
+  for (bool replan = true; replan;) {
+    replan = false;
+    g.plan = eng.plan_decode_fast(key);
+    if (!g.plan->range_solvable(g.chunk, offset, length)) {
+      g.status = Gather::Status::kUnsolvable;
+      return g;
+    }
+    pieces = g.plan->range_pieces(g.chunk, offset, length);
+    for (size_t s = 0; s < pieces.size() && !replan; ++s) {
+      const size_t b = g.plan->source_blocks()[s];
+      if (pieces[s].empty() || looked[b]) continue;
+      looked[b] = true;
+      if (use_cache && (hit[b] = cached_block(id, b, gens[b]))) continue;
+      stall[b] = draw_fetch_faults();
+      if (stall[b].has_value()) continue;
+      key.erase(std::find(key.begin(), key.end(), b));
+      replan = true;
+    }
+  }
+
+  // One fetch per planned block that missed the cache. Its check and its
+  // copy share one shared-lock hold, so the staged bytes are the verified
+  // bytes; the first result per slot is staged (a hedge that lands second
+  // is discarded). A block that vanished or fails its CRC reports false.
+  const std::vector<size_t>& src = g.plan->source_blocks();
+  g.blocks.resize(src.size());
+  std::mutex stage_mu;
+  const auto fetch_op = [&](size_t s) {
+    return [this, id, bbytes, use_cache, b = src[s], piece = &pieces[s],
+            staged = &g.blocks[s], &stage_mu] {
+      if (injector_) injector_->crash_point("store.fetch");
+      std::shared_ptr<const Buffer> bytes;
+      if (use_cache) {
+        bytes = load_verified_block(id, b);
+      } else {
+        auto copy = std::make_shared<Buffer>(bbytes);  // pooled, indeterminate
+        std::shared_lock<std::shared_mutex> lock(mu_);
+        if (!block_available_locked(id, b) || !crc_clean_locked(id, b))
+          return false;
+        for (const auto& [lo, hi] : *piece)
+          std::memcpy(copy->data() + lo, files_[id][b]->data() + lo, hi - lo);
+        bytes = std::move(copy);
+      }
+      if (bytes == nullptr) return false;
+      std::lock_guard<std::mutex> lock(stage_mu);
+      if (*staged == nullptr) *staged = std::move(bytes);
+      return true;
+    };
+  };
+  std::vector<size_t> fetched;  // slots, ascending
+  std::vector<size_t> fetch_bytes(src.size(), bbytes);
+  io::FetchSet fetches;
+  for (size_t s = 0; s < src.size(); ++s) {
+    if (pieces[s].empty()) continue;
+    if ((g.blocks[s] = hit[src[s]])) continue;
+    if (!use_cache) {
+      fetch_bytes[s] = 0;
+      for (const auto& [lo, hi] : pieces[s]) fetch_bytes[s] += hi - lo;
+    }
+    fetches.fetch(s, *stall[src[s]], fetch_op(s), /*hedge=*/false,
+                  fetch_bytes[s]);
+    fetched.push_back(s);
+  }
+  // Exhaustive await; a fetch still parked in its injected stall past the
+  // hedge deadline is re-issued stall-free (a budget-denied hedge leaves
+  // hedged[s] unset, as if it never fired).
+  std::vector<bool> hedged(src.size(), false);
+  fetches.await([](const std::vector<size_t>&) { return false; },
+                [&](const std::vector<size_t>& pending) {
+                  for (size_t s : pending)
+                    if (!hedged[s])
+                      hedged[s] = fetches.fetch(s, 0.0, fetch_op(s),
+                                                /*hedge=*/true, fetch_bytes[s]);
+                });
+  fetches.join();
+  fetches.rethrow_any_failure();
+
+  std::vector<size_t> suspects;
+  for (size_t s : fetched)
+    if (fetches.outcome(s) != io::FetchSet::Outcome::kClean)
+      suspects.push_back(src[s]);
+  if (!suspects.empty()) {
+    // quarantine() drops only blocks still resident and still corrupt, so
+    // a block that merely vanished falls back with no heal.
+    const std::vector<size_t> quarantined = quarantine(id, suspects);
+    self_heal(id, quarantined);
+    Gather failed;
+    failed.status = quarantined.empty() ? Gather::Status::kStale
+                                        : Gather::Status::kCorrupt;
+    return failed;
+  }
+  g.status = Gather::Status::kStaged;
+  return g;
 }
 
 std::shared_ptr<const codes::CodecPlan> FileStore::pinned_repair_plan(

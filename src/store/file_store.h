@@ -13,7 +13,7 @@
 // runs unchanged against a real multi-node layout.
 //
 // Thread safety: the data paths (write/read/read_range/update_range/repair/
-// scrub and the client-session API) may run concurrently from many client
+// scrub and the client gather) may run concurrently from many client
 // threads. Block state lives under one reader/writer lock — reads, probes,
 // and decodes take it shared; quarantine, store-back, and updates take it
 // exclusive — and the lock is NEVER held while blocked in a FetchSet await,
@@ -91,7 +91,7 @@ class FileStore {
   // repair store-back), transient helper-read failures (retried, then
   // rerouted), latency stalls on block fetches (absorbed by hedged
   // re-reads — see read_range/repair), the "store.fetch" crash point fired
-  // inside the async CRC-probe fetches, and the "store.repair" crash point
+  // inside the async CRC-checking fetches, and the "store.repair" crash point
   // fired just before a rebuilt block is installed.
   void set_fault_injector(fault::FaultInjector* injector) {
     injector_ = injector;
@@ -113,7 +113,9 @@ class FileStore {
   //  - the one way out is a size-checked lookup at a given generation
   //    (cached_block); read_range tries read_range_cached first, served
   //    entirely from current-generation entries when they cover the
-  //    range — no probe fetches, no I/O pool, memcpy for clean rows.
+  //    range — no probe fetches, no I/O pool, memcpy for clean rows — and
+  //    gather_range stages a hit for any block its plan reads, fetching
+  //    (and so verifying and caching) only the misses.
   // corrupt_block() deliberately does NOT bump: silent corruption doesn't
   // change the block's logical content, and the cached bytes are exactly
   // what a verified read would reconstruct.
@@ -177,7 +179,7 @@ class FileStore {
   // The block contents as stored (nullopt if its server is dead or the
   // block was lost). Block b of every file lives on server_of(b). The returned
   // span is only stable while no concurrent operation quarantines or
-  // rewrites the block — concurrent callers use fetch_block_pieces, which
+  // rewrites the block — concurrent callers use gather_range, which
   // copies under the lock.
   std::optional<ConstByteSpan> block(FileId id, size_t block) const;
 
@@ -215,7 +217,7 @@ class FileStore {
   // ---- Self-healing degraded reads --------------------------------------
 
   struct ReadStats {
-    size_t verified_reads = 0;  // read_range calls + client read sessions
+    size_t verified_reads = 0;  // read_range calls + client gathers
     size_t crc_failures = 0;    // blocks quarantined by a read, an update
                                 // or a repair (scrub: its own list)
     size_t degraded_reads = 0;  // reads that decoded around a corrupt block
@@ -241,39 +243,53 @@ class FileStore {
   // read_range with the fault schedule PINNED: consumes zero injector
   // draws (no latency, no transient-fault rolls, no self-heal repair) while
   // keeping the verified-read semantics — CRC probes, quarantine, degraded
-  // decode. This is the stale-session retry path: a pipelined client that
-  // falls back here already drew (and served) this read's schedule through
-  // its session + batch fetches, and drawing a SECOND schedule for the
-  // retry would make the process-wide seeded fault sequence depend on race
-  // timing. A block this path quarantines is healed by the next scrub or
-  // drawing read, exactly like a hedge-discovered failure.
+  // decode. This is the client's fallback after a failed gather_range: the
+  // gather already drew this read's schedule, and drawing a SECOND one for
+  // the retry would make the process-wide seeded fault sequence depend on
+  // race timing. A block this path quarantines is healed by the next scrub
+  // or drawing read, exactly like a hedge-discovered failure.
   std::optional<Buffer> read_range_nofault(FileId id, size_t offset,
                                            size_t length);
 
-  // ---- Client read sessions ----------------------------------------------
+  // ---- Client gathers ----------------------------------------------------
   //
-  // A pipelined client amortizes read_range's per-call verification: ONE
-  // probe phase CRC-checks every available block up front (hedged, stall-
-  // bounded, quarantining + auto-repairing exactly like read_range), and
-  // the returned clean set then keys the decode plan for the whole
-  // streamed read. Batch stages fetch only the byte ranges the plan
-  // actually reads via fetch_block_pieces; a false return there means the
-  // session went stale (a concurrent reader quarantined a block) and the
-  // client re-verifies or falls back to read_range.
-
-  struct ReadSession {
-    std::vector<size_t> clean;  // sorted CRC-verified block ids
-    size_t block_bytes = 0;
+  // The client read contract: a client read verifies every block whose
+  // bytes it uses, and only those. Stripe-wide checking (every available
+  // block, used or not) stays with read_range, update_range, repair and
+  // scrub.
+  //
+  // gather_range stages what a decode_fast plan needs to reconstruct
+  // [offset, offset + length): the plan is keyed by the blocks available
+  // at one shared-lock snapshot, and each block the plan reads is fetched
+  // once on the async I/O pool — a current-generation cache entry is
+  // staged instead when there is one. Each fetch CRC-checks its block and
+  // copies it under ONE shared hold, so no byte can change between its
+  // check and its copy: with the cache on it is load_verified_block (the
+  // whole block, cached on success); with it off, crc_clean_locked and then
+  // a copy of just the planned pieces. Fault draws follow read_range's
+  // determinism contract, one draw_fetch_faults per fetched block, in
+  // slot order, before anything is submitted (cache hits draw nothing); a
+  // block whose transient faults outlast the retries leaves the plan key.
+  // Stalled fetches are hedged like read_range's probes.
+  //
+  // A fetched block that failed its CRC or vanished fails the gather;
+  // every such block still resident and still corrupt (re-checked under
+  // the exclusive lock) is quarantined and self-healed. kCorrupt: this
+  // gather quarantined at least one block (a degraded read, counted in
+  // ReadStats). kStale: it quarantined none — a planned block vanished
+  // (a concurrent quarantine, kill or repair made the snapshot stale).
+  // Either way the caller falls back to read_range_nofault, since this
+  // call already drew the read's faults.
+  struct Gather {
+    enum class Status { kStaged, kUnsolvable, kCorrupt, kStale };
+    Status status = Status::kStale;
+    std::shared_ptr<const codes::CodecPlan> plan;  // set when kStaged
+    size_t chunk = 0;                              // bytes per stripe chunk
+    // Per plan slot: the staged block (whole, or only its planned pieces
+    // with the cache off), null for slots the range does not read.
+    std::vector<std::shared_ptr<const Buffer>> blocks;
   };
-  ReadSession begin_verified_read(FileId id);
-
-  // Copies the block-coordinate ranges [lo, hi) of block b into the same
-  // offsets of dst (sized >= the block), under the shared lock. Returns
-  // false if the block is no longer resident or its server died — the
-  // session-invalidation signal.
-  bool fetch_block_pieces(FileId id, size_t b,
-                          const std::vector<std::pair<size_t, size_t>>& pieces,
-                          ByteSpan dst) const;
+  Gather gather_range(FileId id, size_t offset, size_t length);
 
   // Overwrites the chunk-aligned range [offset, offset + data.size()) of
   // the original file in place, patching parity via deltas and refreshing
@@ -387,14 +403,14 @@ class FileStore {
   std::optional<double> draw_fetch_faults() const;
 
   struct VerifiedBlocks {
-    ReadSession session;              // clean set + block size
+    std::vector<size_t> clean;        // sorted CRC-verified block ids
     std::vector<size_t> quarantined;  // blocks this phase quarantined
   };
-  // The verify phase of read_range and begin_verified_read: draws each
-  // available block's faults (none when !draw_faults), CRC-probes the
-  // blocks concurrently on the async I/O pool with hedging, and
-  // quarantines the mismatches. `on_decodable` (may be null) runs with the
-  // clean set as soon as it is decodable, overlapping the stragglers.
+  // The verify phase of read_range: draws each available block's faults
+  // (none when !draw_faults), CRC-probes the blocks concurrently on the
+  // async I/O pool with hedging, and quarantines the mismatches.
+  // `on_decodable` runs with the clean set as soon as it is decodable,
+  // overlapping the stragglers.
   VerifiedBlocks verify_blocks(
       FileId id, bool draw_faults,
       const std::function<void(const std::vector<size_t>&)>& on_decodable);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "client/cache.h"
 #include "client/load_gen.h"
 #include "client/striped.h"
+#include "codes/plan.h"
 #include "io/async.h"
 #include "core/galloper.h"
 #include "fault/fault.h"
@@ -28,8 +30,8 @@ struct Shape {
   size_t k, l, g;
 };
 
-// Pipelined reads must be byte-for-byte the direct FileStore::read_range
-// bytes across code shapes, batch granularities, and unaligned ranges.
+// Striped reads must be byte-for-byte the direct FileStore::read_range
+// bytes across code shapes and unaligned ranges.
 TEST(StripedReaderTest, BitIdenticalToDirectReads) {
   const Shape shapes[] = {{2, 1, 1}, {4, 2, 2}, {6, 3, 2}};
   for (const Shape& s : shapes) {
@@ -43,35 +45,31 @@ TEST(StripedReaderTest, BitIdenticalToDirectReads) {
         random_buffer(code.engine().num_chunks() * chunk, rng);
     const store::FileId id = fs.write(file);
 
-    for (size_t batch_chunks : {size_t{1}, size_t{3}, size_t{64}}) {
-      ReaderOptions opt;
-      opt.batch_chunks = batch_chunks;
-      StripedReader reader(fs, opt);
-      const size_t ranges[][2] = {
-          {0, file.size()},            // whole file
-          {0, 0},                      // empty
-          {1, file.size() - 2},        // off-by-one both ends
-          {chunk - 1, 2},              // straddles a chunk boundary
-          {chunk / 2, 3 * chunk},      // unaligned multi-chunk
-          {file.size() - 7, 7},        // tail
-      };
-      for (const auto& r : ranges) {
-        const auto piped = reader.read_range(id, r[0], r[1]);
-        const auto direct = fs.read_range(id, r[0], r[1]);
-        ASSERT_TRUE(piped.has_value());
-        ASSERT_TRUE(direct.has_value());
-        EXPECT_EQ(*piped, *direct)
-            << "shape (" << s.k << "," << s.l << "," << s.g << ") batch="
-            << batch_chunks << " off=" << r[0] << " len=" << r[1];
-        EXPECT_EQ(*piped,
-                  Buffer(file.begin() + r[0], file.begin() + r[0] + r[1]));
-      }
+    StripedReader reader(fs);
+    const size_t ranges[][2] = {
+        {0, file.size()},            // whole file
+        {0, 0},                      // empty
+        {1, file.size() - 2},        // off-by-one both ends
+        {chunk - 1, 2},              // straddles a chunk boundary
+        {chunk / 2, 3 * chunk},      // unaligned multi-chunk
+        {file.size() - 7, 7},        // tail
+    };
+    for (const auto& r : ranges) {
+      const auto piped = reader.read_range(id, r[0], r[1]);
+      const auto direct = fs.read_range(id, r[0], r[1]);
+      ASSERT_TRUE(piped.has_value());
+      ASSERT_TRUE(direct.has_value());
+      EXPECT_EQ(*piped, *direct)
+          << "shape (" << s.k << "," << s.l << "," << s.g << ") off=" << r[0]
+          << " len=" << r[1];
+      EXPECT_EQ(*piped,
+                Buffer(file.begin() + r[0], file.begin() + r[0] + r[1]));
     }
   }
 }
 
-// A corrupt block must not change the delivered bytes: the verified-read
-// session quarantines it and the session plan decodes around the hole.
+// A corrupt block must not change the delivered bytes: the gather's CRC
+// check quarantines it and the fallback read decodes around the hole.
 TEST(StripedReaderTest, DegradedReadIsBitIdentical) {
   core::GalloperCode code(4, 2, 2);
   sim::Simulation sim;
@@ -104,9 +102,7 @@ TEST(StripedReaderTest, StalledHelpersStillBitIdentical) {
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
   const store::FileId id = fs.write(file);
 
-  ReaderOptions opt;
-  opt.batch_chunks = 2;
-  StripedReader reader(fs, opt);
+  StripedReader reader(fs);
   for (int i = 0; i < 4; ++i) {
     const auto piped = reader.read_range(id, 0, file.size());
     ASSERT_TRUE(piped.has_value());
@@ -114,22 +110,22 @@ TEST(StripedReaderTest, StalledHelpersStillBitIdentical) {
   }
 }
 
-// The stale-session fallback must keep the fault schedule PINNED: the
-// pipelined attempt already drew (and served) its injector decisions, and
-// the fallback direct read must not re-draw a fresh schedule — if it did,
-// the process-wide seeded fault sequence would depend on whether the
+// The client's fallback must keep the fault schedule PINNED: the gather
+// already drew (and served) its injector decisions, and the fallback
+// direct read must not re-draw a fresh schedule — if it did, the
+// process-wide seeded fault sequence would depend on whether the
 // quarantine race hit, and degraded chaos runs would stop replaying
 // deterministically. Regression for the bug where the fallback went
 // through the fault-drawing read_range.
 //
-// Shape of the race: a single-batch read takes a clean verified-read
-// session, then every batch fetch parks in an injected stall; a chaos
-// thread quarantines a block inside that window, the parked probe sees the
-// block gone, and the session goes stale → fallback. A clean read and a
-// clean-session-then-stale read draw IDENTICAL decision counts (session +
-// one draw per fetched slot, all spent before staleness is detected), so
-// on a fallback iteration the delta must equal the clean baseline exactly
-// — any extra draw is the fallback re-drawing.
+// Shape of the race: a read snapshots a clean stripe and draws its faults,
+// then every fetch parks in an injected stall; a chaos thread quarantines
+// a block inside that window, the parked fetch sees the block gone, and
+// the gather fails → fallback. A clean read and a snapshot-then-vanished
+// read draw IDENTICAL decision counts (one draw per fetched slot, all
+// spent before the loss is detected), so on a fallback iteration the
+// delta must equal the clean baseline exactly — any extra draw is the
+// fallback re-drawing.
 TEST(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   core::GalloperCode code(4, 2, 1);
   sim::Simulation sim;
@@ -144,9 +140,7 @@ TEST(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
   const store::FileId id = fs.write(file);
 
-  ReaderOptions opt;
-  opt.batch_chunks = code.engine().num_chunks();  // one batch: fixed draws
-  StripedReader reader(fs, opt);
+  StripedReader reader(fs);
 
   // Baseline: decisions one clean read consumes.
   const uint64_t d0 = inj.stats().decisions;
@@ -157,14 +151,14 @@ TEST(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
   }
   const uint64_t clean_draws = inj.stats().decisions - d0;
 
-  const size_t victim = 1;  // a data block: always fetched by the batch
+  const size_t victim = 1;  // a data block: always fetched by the read
   bool hit = false;
   for (int iter = 0; iter < 400 && !hit; ++iter) {
     const uint64_t fallbacks_before = client_stats().fallbacks;
     const uint64_t before = inj.stats().decisions;
     std::thread chaos([&, iter] {
       // Sweep the quarantine across the read's timeline so some iteration
-      // lands it between the session probe and the parked batch fetch.
+      // lands it between the snapshot and the parked fetch.
       std::this_thread::sleep_for(
           std::chrono::microseconds(100 * (iter % 60)));
       fs.corrupt_block(id, victim, 0);
@@ -186,8 +180,114 @@ TEST(StripedReaderTest, StaleSessionFallbackPinsFaultSchedule) {
       ASSERT_TRUE(fs.repair(id, victim).has_value());
     }
   }
-  EXPECT_TRUE(hit) << "quarantine race never produced a stale session";
+  EXPECT_TRUE(hit) << "quarantine race never produced a fallback";
   fs.set_fault_injector(nullptr);
+}
+
+// A client read CRC-checks a block in the same shared-lock hold that
+// copies its bytes, so corruption that lands after some earlier check of
+// the block but before its copy is caught, not delivered. Regression for
+// the verify-then-copy gap: a read that CRC-probed every block up front
+// and later copied the planned pieces unchecked handed out the flipped
+// byte as good data.
+//
+// Deterministic timeline (cache off, no hedging: the fixed 10 s deadline
+// outlasts every stall): every fetch stalls 200 ms, and the first fetch
+// the read schedules stalls 1 s. The read covers one chunk of block 1. An
+// up-front probe of the whole stripe spends its 1 s stall on block 0 and
+// checks block 1 at ~200 ms, before the corruption at ~300 ms; a read
+// that fetches only block 1 spends the 1 s stall on it and checks it at
+// ~1 s, after the corruption. Either way the delivered bytes must be the
+// written ones and the flip must be counted exactly once.
+TEST(StripedReaderTest, CorruptionBetweenChecksIsNeverDelivered) {
+  core::GalloperCode code(4, 2, 1);
+  sim::Simulation sim;
+  sim::Cluster cluster(sim, code.num_blocks() + 2, sim::ServerSpec{});
+  store::FileStore fs(cluster, code);
+  fs.set_block_cache(nullptr);
+  Rng rng(17);
+  const size_t chunk = 256;
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const store::FileId id = fs.write(file);
+
+  const size_t victim = 1;
+  const size_t c = code.engine().chunks_of_block(victim).front();
+  const codes::StripeRef at = code.engine().chunk_positions()[c];
+  ASSERT_EQ(at.block, victim);
+
+  io::AsyncIo& pool = io::AsyncIo::global();
+  const io::HedgePolicy saved = pool.hedge_policy();
+  io::HedgePolicy fixed = saved;
+  fixed.fixed_deadline_s = 10.0;
+  pool.set_hedge_policy(fixed);
+  fault::FaultInjector inj(7);
+  inj.set_read_latency(1.0, 0.2);
+  inj.stall_next_reads(1, 1.0);
+  fs.set_fault_injector(&inj);
+
+  StripedReader reader(fs);
+  std::thread corruptor([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    fs.corrupt_block(id, victim, at.pos * chunk + 5);
+  });
+  const auto got = reader.read_range(id, c * chunk, chunk);
+  corruptor.join();
+  fs.set_fault_injector(nullptr);
+  pool.set_hedge_policy(saved);
+
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, Buffer(file.begin() + c * chunk,
+                         file.begin() + (c + 1) * chunk))
+      << "a byte flipped between checks was delivered as good data";
+  EXPECT_EQ(fs.read_stats().crc_failures, 1u);
+}
+
+// A client read fetches each block its plan reads once, and no other: one
+// chunk of a healthy stripe is one fetch; with its block's server dead,
+// the fetch count is the number of distinct source slots of the row that
+// rebuilds the chunk.
+TEST(StripedReaderTest, ReadFetchesOnlyThePlannedBlocks) {
+  core::GalloperCode code(4, 2, 1);
+  sim::Simulation sim;
+  sim::Cluster cluster(sim, code.num_blocks() + 2, sim::ServerSpec{});
+  store::FileStore fs(cluster, code);
+  fs.set_block_cache(nullptr);
+  Rng rng(19);
+  const size_t chunk = 256;
+  const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
+  const store::FileId id = fs.write(file);
+  const size_t c = code.engine().chunks_of_block(0).front();
+  const Buffer want(file.begin() + c * chunk, file.begin() + (c + 1) * chunk);
+
+  // No hedges: a re-fetch would count as a second fetch.
+  io::AsyncIo& pool = io::AsyncIo::global();
+  const io::HedgePolicy saved = pool.hedge_policy();
+  io::HedgePolicy fixed = saved;
+  fixed.fixed_deadline_s = 10.0;
+  pool.set_hedge_policy(fixed);
+
+  StripedReader reader(fs);
+  uint64_t before = pool.stats().fetches;
+  auto got = reader.read_range(id, c * chunk, chunk);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, want);
+  EXPECT_EQ(pool.stats().fetches - before, 1u);
+
+  fs.fail_server(0);
+  std::vector<size_t> alive;
+  for (size_t b = 1; b < code.num_blocks(); ++b) alive.push_back(b);
+  const auto plan = code.engine().plan_decode_fast(alive);
+  const codes::CodecPlan::Row& row = plan->row(c);
+  ASSERT_LT(row.copy_slot, 0) << "chunk " << c << " must be rebuilt";
+  std::set<uint32_t> slots;
+  for (const codes::CodecPlan::Source& s : plan->row_sources(row))
+    slots.insert(s.slot);
+  before = pool.stats().fetches;
+  got = reader.read_range(id, c * chunk, chunk);
+  pool.set_hedge_policy(saved);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, want);
+  EXPECT_EQ(pool.stats().fetches - before, slots.size());
 }
 
 // The pipelined writer commits through write_encoded, which replays the
@@ -233,9 +333,9 @@ TEST(StripedWriterTest, BitIdenticalToDirectWrites) {
   }
 }
 
-// Concurrent pipelined readers over a faulty store: every delivered byte
+// Concurrent striped readers over a faulty store: every delivered byte
 // must match the written file even while another thread corrupts blocks
-// (stale sessions fall back to direct reads; see striped.h).
+// (failed gathers fall back to direct reads; see striped.h).
 TEST(StripedReaderTest, ConcurrentReadersUnderCorruption) {
   core::GalloperCode code(4, 2, 1);
   sim::Simulation sim;
@@ -260,7 +360,7 @@ TEST(StripedReaderTest, ConcurrentReadersUnderCorruption) {
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
-      StripedReader reader(fs, ReaderOptions{.batch_chunks = 2});
+      StripedReader reader(fs);
       Rng local(100 + t);
       for (int i = 0; i < 12; ++i) {
         const size_t off = local.next_below(file.size());
@@ -491,9 +591,7 @@ TEST(BlockCacheTest, CachedReadsBitIdenticalToUncached) {
     const store::FileId id = cached_fs.write(file);
     ASSERT_EQ(plain_fs.write(file), id);
 
-    ReaderOptions opt;
-    opt.batch_chunks = 2;
-    StripedReader reader(cached_fs, opt);
+    StripedReader reader(cached_fs);
     const size_t ranges[][2] = {
         {0, file.size()},        {1, file.size() - 2},
         {chunk - 1, 2},          {chunk / 2, 3 * chunk},
@@ -514,21 +612,19 @@ TEST(BlockCacheTest, CachedReadsBitIdenticalToUncached) {
   }
 
   // Every single and double erasure of (4,2,1), over ranges straddling
-  // chunk and batch (2-chunk) boundaries: direct and multi-batch striped
-  // reads, cache off and on, and read_range_cached once the striped read
-  // has filled the cache, all deliver the same bytes.
+  // chunk and 2-chunk boundaries: direct and striped reads, cache off and
+  // on, and read_range_cached once the striped read has filled the cache,
+  // all deliver the same bytes.
   core::GalloperCode code(4, 2, 1);
   const size_t chunk = 64;
   Rng rng(43);
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
   const size_t ranges[][2] = {
       {chunk - 1, 2},          // chunk boundary
-      {2 * chunk - 3, 6},      // batch boundary
-      {chunk + 5, 4 * chunk},  // three batches, unaligned ends
-      {1, file.size() - 1},    // every batch
+      {2 * chunk - 3, 6},      // 2-chunk boundary
+      {chunk + 5, 4 * chunk},  // five chunks, unaligned ends
+      {1, file.size() - 1},    // every chunk
   };
-  ReaderOptions opt;
-  opt.batch_chunks = 2;
   for (size_t a = 0; a < code.num_blocks(); ++a) {
     for (size_t b = a; b < code.num_blocks(); ++b) {  // b == a: single
       BlockCache cache(16 << 20, /*shards=*/2);
@@ -544,8 +640,8 @@ TEST(BlockCacheTest, CachedReadsBitIdenticalToUncached) {
         fs->fail_server(a);
         fs->fail_server(b);
       }
-      StripedReader cached_reader(cached_fs, opt);
-      StripedReader plain_reader(plain_fs, opt);
+      StripedReader cached_reader(cached_fs);
+      StripedReader plain_reader(plain_fs);
       for (const auto& r : ranges) {
         const Buffer want(file.begin() + r[0], file.begin() + r[0] + r[1]);
         const auto direct_off = plain_fs.read_range(id, r[0], r[1]);
@@ -627,7 +723,7 @@ TEST(BlockCacheTest, NoStaleBytesAfterMutations) {
 }
 
 // A fully-hot read touches neither the I/O pool nor the probe machinery:
-// fetch count and verified-read sessions stay flat.
+// fetch count and verified reads stay flat.
 TEST(BlockCacheTest, FullyHotReadSkipsIoPool) {
   core::GalloperCode code(4, 2, 2);
   BlockCache cache(16 << 20, /*shards=*/2);
@@ -656,7 +752,7 @@ TEST(BlockCacheTest, FullyHotReadSkipsIoPool) {
   EXPECT_EQ(io::AsyncIo::global().stats().fetches, fetches0)
       << "warm reads must not touch the I/O pool";
   EXPECT_EQ(fs.read_stats().verified_reads, sessions0)
-      << "warm reads must not open probe sessions";
+      << "warm reads must not reach the store's verified reads";
   EXPECT_EQ(client_stats().cache_reads - c0.cache_reads, 3u);
 }
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 
+#include "client/striped.h"
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
 #include "core/input_format.h"
@@ -293,9 +294,11 @@ TEST_F(FileStoreTest, ReadRangeNofaultDrawsNoInjectorDecisions) {
   fs.set_fault_injector(nullptr);
 }
 
-// read_range and begin_verified_read share one verify phase: on identical
-// stores with identically seeded injectors they consume the same number of
-// fault decisions, and each detects, quarantines and heals the same corrupt
+// read_range and the client gather draw and heal alike: on identical
+// stores with identically seeded injectors, a full-range read_range and a
+// full-range striped read (whose gather fetches every block, since every
+// Galloper block holds original data) consume the same number of fault
+// decisions, and each detects, quarantines and heals the same corrupt
 // block exactly once.
 TEST(FileStoreVerifyPhase, ReadRangeAndSessionDrawAndHealIdentically) {
   struct Env {
@@ -340,10 +343,11 @@ TEST(FileStoreVerifyPhase, ReadRangeAndSessionDrawAndHealIdentically) {
 
   const auto stats_b = b.fs.read_stats();
   const auto decisions_b = b.inj.stats().decisions;
-  const auto session = b.fs.begin_verified_read(idb);
+  client::StripedReader reader(b.fs);
+  const auto piped = reader.read_range(idb, 0, file.size());
   const auto drawn_b = b.inj.stats().decisions - decisions_b;
-  EXPECT_FALSE(std::count(session.clean.begin(), session.clean.end(),
-                          kCorrupt));
+  ASSERT_TRUE(piped.has_value());
+  EXPECT_EQ(*piped, file);
   expect_one_heal(b.fs, stats_b);
   EXPECT_TRUE(b.fs.block_available(idb, kCorrupt));
 

@@ -60,10 +60,11 @@ int usage() {
       "                   [--zipf=THETA] [--updates=FRAC] [--degraded]\n"
       "                   [--corruptions=N] [--serial] [--cache=MiB]\n"
       "                   [--admit=N]\n"
-      "          (closed-loop multi-client load over the pipelined striped\n"
-      "          client against an in-memory store: every read verified\n"
+      "          (closed-loop multi-client load over the striped client\n"
+      "          against an in-memory store: every read verified\n"
       "          against a mirror; reports throughput and p50/p99/p99.9;\n"
-      "          --serial uses direct per-batch reads for comparison,\n"
+      "          --serial uses direct reads of --batch chunks each for\n"
+      "          comparison,\n"
       "          --degraded adds injected stalls, --corruptions flips\n"
       "          bytes mid-run to exercise fallback + auto-repair;\n"
       "          --cache pins a private block cache in MiB (0 = off),\n"
