@@ -9,6 +9,7 @@
 //                        write machine-readable results there (JsonWriter)
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,6 +39,11 @@ inline size_t env_size(const char* name, size_t fallback) {
 
 inline size_t block_mib() { return env_size("GALLOPER_BENCH_MB", 16); }
 inline size_t reps() { return env_size("GALLOPER_BENCH_REPS", 3); }
+
+// Timed repetitions of a cell whose ratio a CI floor judges: never fewer
+// than 5 whatever GALLOPER_BENCH_REPS says, so a floor never rests on one
+// sub-millisecond timing. Callers run one untimed warm-up first.
+inline size_t gated_reps() { return std::max<size_t>(5, reps()); }
 
 // Wall-clock seconds of fn().
 template <typename Fn>

@@ -23,7 +23,8 @@
 // plan-cached degraded reads (fallback_splits > 0).
 //
 //   GALLOPER_BENCH_MB    ≈ input file size in MiB (default 16)
-//   GALLOPER_BENCH_REPS  timed repetitions per clean cell, best-of (default 3)
+//   GALLOPER_BENCH_REPS  timed repetitions per clean cell, best-of (default 3;
+//                        never fewer than 5, after one untimed warm-up)
 //   GALLOPER_BENCH_JSON  write machine-readable results there
 #include <algorithm>
 #include <atomic>
@@ -77,7 +78,8 @@ uint64_t decode_repair_execs() {
 }
 
 // One job run over one freshly-written store. `slots` = map parallelism
-// (one per data-holding server). Returns best-of-reps map/job walls.
+// (one per data-holding server). Returns best-of-gated_reps map/job walls
+// after one untimed warm-up run.
 Cell run_cell(const JobDef& job, const codes::ErasureCode& code,
               const std::string& code_name, size_t slots,
               size_t max_split_bytes,
@@ -102,7 +104,8 @@ Cell run_cell(const JobDef& job, const codes::ErasureCode& code,
   cell.bit_identical = true;
   cell.map_s = 1e30;
   cell.job_s = 1e30;
-  for (size_t rep = 0; rep < std::max<size_t>(1, bench::reps()); ++rep) {
+  if (runner.run(fs, id) != plain) cell.bit_identical = false;
+  for (size_t rep = 0; rep < bench::gated_reps(); ++rep) {
     mr::StoreJobReport report;
     const double wall = bench::timed([&] { report = runner.run_report(fs, id); });
     cell.splits = report.splits;

@@ -130,11 +130,13 @@ BENCHMARK(BM_ReadRangeDegraded);
 
 // ---- machine-readable sweep (GALLOPER_BENCH_JSON) -----------------------
 
-// Best-of-reps seconds for one (path, chunk, threads) cell.
+// Best-of-gated_reps seconds for one (path, chunk, threads) cell, after
+// one untimed warm-up run.
 template <typename Fn>
 double best_seconds(Fn&& fn) {
+  fn();
   double best = 1e300;
-  for (size_t r = 0; r < bench::reps(); ++r)
+  for (size_t r = 0; r < bench::gated_reps(); ++r)
     best = std::min(best, bench::timed(fn));
   return best;
 }
@@ -149,7 +151,7 @@ int run_json_sweep(const char* path) {
   json.key("bench").value("micro_encode_sweep");
   json.key("code").value(code().name());
   bench::write_context(json);
-  json.key("reps").value(bench::reps());
+  json.key("reps").value(bench::gated_reps());
   json.key("cells").begin_array();
 
   for (size_t chunk : chunk_grid) {

@@ -1082,7 +1082,8 @@ std::string format_plan_stats() {
         << " splits mapped (" << ms.degraded_splits << " degraded), "
         << static_cast<double>(ms.bytes_original) * 1e-6
         << " MB read original, "
-        << static_cast<double>(ms.bytes_decoded) * 1e-6 << " MB decoded\n"
+        << static_cast<double>(ms.bytes_decoded) * 1e-6 << " MB decoded, "
+        << static_cast<double>(ms.shuffle_bytes) * 1e-6 << " MB shuffled\n"
         << "  phase walls: map " << static_cast<double>(ms.map_ns) * 1e-6
         << " ms, shuffle " << static_cast<double>(ms.shuffle_ns) * 1e-6
         << " ms, reduce " << static_cast<double>(ms.reduce_ns) * 1e-6

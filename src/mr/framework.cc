@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "util/check.h"
@@ -11,30 +10,24 @@ namespace galloper::mr {
 
 std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
                                      std::vector<KeyValue> intermediate) {
-  // Group by key without sorting the whole intermediate. Keys and values
-  // are moved out of the pairs — the intermediate is consumed.
-  std::unordered_map<std::string, std::vector<std::string>> groups;
-  groups.reserve(intermediate.size());
-  for (auto& kv : intermediate)
-    groups[std::move(kv.key)].push_back(std::move(kv.value));
-  intermediate.clear();
-
-  // Reduce in ascending key order with each key's values sorted — exactly
-  // what a (key, value) sort of the whole intermediate would have fed the
-  // reducer, so results are bit-identical to the historical form.
-  std::vector<const std::string*> keys;
-  keys.reserve(groups.size());
-  for (const auto& [key, values] : groups) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-
+  // One (key, value) sort, then one reduce call per run of equal keys —
+  // values are moved out of the pairs, the intermediate is consumed.
+  std::sort(intermediate.begin(), intermediate.end());
   std::vector<KeyValue> out;
-  for (const std::string* key : keys) {
-    auto& values = groups[*key];
-    std::sort(values.begin(), values.end());
-    reducer.reduce(*key, values, out);
+  std::vector<std::string> values;
+  for (size_t i = 0; i < intermediate.size();) {
+    const std::string& key = intermediate[i].key;
+    values.clear();
+    size_t j = i;
+    for (; j < intermediate.size() && intermediate[j].key == key; ++j)
+      values.push_back(std::move(intermediate[j].value));
+    reducer.reduce(key, values, out);
+    i = j;
   }
-  std::sort(out.begin(), out.end());
+  // Reducers that emit under their own key in value order (every job in
+  // this repo) already produce sorted output.
+  if (!std::is_sorted(out.begin(), out.end()))
+    std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -26,7 +26,8 @@ struct KeyValue {
 
   bool operator==(const KeyValue&) const = default;
   bool operator<(const KeyValue& o) const {
-    return key != o.key ? key < o.key : value < o.value;
+    const int c = key.compare(o.key);
+    return c != 0 ? c < 0 : value < o.value;
   }
 };
 
@@ -58,13 +59,11 @@ struct WorkloadProfile {
   double reduce_bytes_per_cpu_unit = 80e6;
 };
 
-// The shuffle+reduce shared by every runner: groups `intermediate` by key
-// through a hash map (no global sort — wordcount-style jobs with heavy key
-// repetition pay O(n) grouping plus per-key sorts instead of O(n log n)
-// over the whole map output), sorts each key's value list, reduces keys in
-// ascending order, and returns the output sorted by (key, value). The
-// per-key value sort makes this bit-identical to the historical
-// sort-the-whole-intermediate form for any Reducer.
+// The shuffle+reduce shared by every runner: sorts `intermediate` by
+// (key, value), calls the reducer once per run of equal keys in ascending
+// key order with that key's values in ascending order, and returns the
+// output sorted by (key, value) (re-sorting only when the reducer's output
+// is not already ordered).
 std::vector<KeyValue> shuffle_reduce(const Reducer& reducer,
                                      std::vector<KeyValue> intermediate);
 

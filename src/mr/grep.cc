@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mr/wordcount.h"
 #include "util/check.h"
 
 namespace galloper::mr {
@@ -12,23 +11,10 @@ GrepMapper::GrepMapper(std::string needle) : needle_(std::move(needle)) {
 }
 
 void GrepMapper::map(ConstByteSpan input, std::vector<KeyValue>& out) const {
-  // Emits one ("match", "1") per occurrence. (Counts, not offsets: split
-  // execution sees split-relative positions, so only counts are
-  // layout-independent.)
-  const char* begin = reinterpret_cast<const char*>(input.data());
-  const char* end = begin + input.size();
-  for (const char* it = begin;;) {
-    it = std::search(it, end, needle_.begin(), needle_.end());
-    if (it == end) break;
-    out.push_back({"match", "1"});
-    ++it;  // overlapping matches count
-  }
-}
-
-void GrepReducer::reduce(const std::string& key,
-                         const std::vector<std::string>& values,
-                         std::vector<KeyValue>& out) const {
-  out.push_back({key, std::to_string(values.size())});
+  // Counts, not offsets: split execution sees split-relative positions, so
+  // only counts are layout-independent.
+  const size_t n = count_occurrences(input, needle_);
+  if (n > 0) out.push_back({"match", std::to_string(n)});
 }
 
 size_t count_occurrences(ConstByteSpan haystack, std::string_view needle) {

@@ -4,11 +4,13 @@
 #pragma once
 
 #include "mr/framework.h"
+#include "mr/wordcount.h"
 #include "util/rng.h"
 
 namespace galloper::mr {
 
-// Scans for a fixed needle; emits one ("match", "1") per occurrence.
+// Scans for a fixed needle; emits one ("match", n) per split holding n ≥ 1
+// occurrences (overlapping ones included) and nothing for a split with none.
 class GrepMapper final : public Mapper {
  public:
   explicit GrepMapper(std::string needle);
@@ -18,12 +20,9 @@ class GrepMapper final : public Mapper {
   std::string needle_;
 };
 
-// Counts matches: ("match", ["1"...]) → ("match", count).
-class GrepReducer final : public Reducer {
- public:
-  void reduce(const std::string& key, const std::vector<std::string>& values,
-              std::vector<KeyValue>& out) const override;
-};
+// Sums the per-split counts: ("match", [n...]) → ("match", total) — the
+// same reduce as wordcount's.
+using GrepReducer = WordCountReducer;
 
 // Counts needle occurrences in a plain buffer (the reference oracle).
 size_t count_occurrences(ConstByteSpan haystack, std::string_view needle);

@@ -22,6 +22,7 @@ struct MrCounters {
   std::atomic<uint64_t> degraded_splits{0};
   std::atomic<uint64_t> bytes_original{0};
   std::atomic<uint64_t> bytes_decoded{0};
+  std::atomic<uint64_t> shuffle_bytes{0};
   std::atomic<uint64_t> map_ns{0};
   std::atomic<uint64_t> shuffle_ns{0};
   std::atomic<uint64_t> reduce_ns{0};
@@ -49,6 +50,7 @@ MrStats mr_stats() {
   s.degraded_splits = c.degraded_splits.load(std::memory_order_relaxed);
   s.bytes_original = c.bytes_original.load(std::memory_order_relaxed);
   s.bytes_decoded = c.bytes_decoded.load(std::memory_order_relaxed);
+  s.shuffle_bytes = c.shuffle_bytes.load(std::memory_order_relaxed);
   s.map_ns = c.map_ns.load(std::memory_order_relaxed);
   s.shuffle_ns = c.shuffle_ns.load(std::memory_order_relaxed);
   s.reduce_ns = c.reduce_ns.load(std::memory_order_relaxed);
@@ -62,6 +64,7 @@ void reset_mr_stats() {
   c.degraded_splits.store(0, std::memory_order_relaxed);
   c.bytes_original.store(0, std::memory_order_relaxed);
   c.bytes_decoded.store(0, std::memory_order_relaxed);
+  c.shuffle_bytes.store(0, std::memory_order_relaxed);
   c.map_ns.store(0, std::memory_order_relaxed);
   c.shuffle_ns.store(0, std::memory_order_relaxed);
   c.reduce_ns.store(0, std::memory_order_relaxed);
@@ -97,6 +100,7 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   std::atomic<size_t> degraded{0};
   std::atomic<uint64_t> clean_bytes{0};
   std::atomic<uint64_t> decoded_bytes{0};
+  std::atomic<uint64_t> emitted_bytes{0};
   client::StripedReader fallback(fs);
   const uint64_t map_start = now_ns();
   rt::parallel_for(pool, splits.size(), threads, [&](size_t si) {
@@ -118,18 +122,23 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
     std::vector<KeyValue> emitted;
     mapper_.map(ConstByteSpan(*data), emitted);
     std::vector<std::vector<KeyValue>>& mine = parts[si];
-    for (KeyValue& kv : emitted)
+    uint64_t bytes = 0;
+    for (KeyValue& kv : emitted) {
+      bytes += kv.key.size() + kv.value.size();
       mine[std::hash<std::string>{}(kv.key) % reducers].push_back(
           std::move(kv));
+    }
+    emitted_bytes.fetch_add(bytes, std::memory_order_relaxed);
   });
   report.map_ns = now_ns() - map_start;
   report.degraded_splits = degraded.load(std::memory_order_relaxed);
   report.bytes_original = clean_bytes.load(std::memory_order_relaxed);
   report.bytes_decoded = decoded_bytes.load(std::memory_order_relaxed);
+  report.shuffle_bytes = emitted_bytes.load(std::memory_order_relaxed);
 
   // ---- Shuffle: one task per partition gathers its slice of every map
   // task's output, in ascending split order (a fixed order keeps value
-  // arrival deterministic; shuffle_reduce sorts per key anyway).
+  // arrival deterministic; shuffle_reduce sorts anyway).
   std::vector<std::vector<KeyValue>> partitions(reducers);
   const uint64_t shuffle_start = now_ns();
   rt::parallel_for(pool, reducers, threads, [&](size_t r) {
@@ -146,7 +155,7 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
   });
   report.shuffle_ns = now_ns() - shuffle_start;
 
-  // ---- Reduce: each partition runs the shared group-by shuffle_reduce,
+  // ---- Reduce: each partition runs the shared sort-group shuffle_reduce,
   // yielding a (key, value)-sorted run per reducer; keys are disjoint
   // across partitions (hash-partitioned), so merging the runs gives the
   // same globally sorted output run_plain produces.
@@ -179,6 +188,7 @@ StoreJobReport StoreRunner::run_report(store::FileStore& fs,
                               std::memory_order_relaxed);
   c.bytes_original.fetch_add(report.bytes_original, std::memory_order_relaxed);
   c.bytes_decoded.fetch_add(report.bytes_decoded, std::memory_order_relaxed);
+  c.shuffle_bytes.fetch_add(report.shuffle_bytes, std::memory_order_relaxed);
   c.map_ns.fetch_add(report.map_ns, std::memory_order_relaxed);
   c.shuffle_ns.fetch_add(report.shuffle_ns, std::memory_order_relaxed);
   c.reduce_ns.fetch_add(report.reduce_ns, std::memory_order_relaxed);

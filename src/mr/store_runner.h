@@ -20,9 +20,9 @@
 //    under fault injection;
 //  * map output is hash-partitioned into reduce_tasks partitions as it is
 //    emitted; shuffle and reduce then run one task per partition (each the
-//    shared shuffle_reduce group-by), and the sorted per-reducer outputs
-//    are merged — replacing LocalRunner's global sort of the whole
-//    intermediate with per-partition work that scales with threads.
+//    shared shuffle_reduce sort-group), and the sorted per-reducer outputs
+//    are merged — per-partition work that scales with threads, instead of
+//    LocalRunner's one sort of the whole intermediate.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +43,7 @@ struct MrStats {
   uint64_t degraded_splits = 0;  // splits served by degraded fallback
   uint64_t bytes_original = 0;   // split bytes read clean (no decode)
   uint64_t bytes_decoded = 0;    // split bytes served via degraded reads
+  uint64_t shuffle_bytes = 0;    // key + value bytes the map tasks emitted
   uint64_t map_ns = 0;           // summed per-job phase walls
   uint64_t shuffle_ns = 0;
   uint64_t reduce_ns = 0;
@@ -70,6 +71,9 @@ struct StoreJobReport {
   size_t degraded_splits = 0;
   uint64_t bytes_original = 0;
   uint64_t bytes_decoded = 0;
+  // Key + value bytes the map tasks emitted — the live counterpart of
+  // WorkloadProfile::shuffle_ratio × input bytes.
+  uint64_t shuffle_bytes = 0;
   uint64_t map_ns = 0;
   uint64_t shuffle_ns = 0;
   uint64_t reduce_ns = 0;

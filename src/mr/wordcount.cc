@@ -1,6 +1,10 @@
 #include "mr/wordcount.h"
 
+#include <algorithm>
 #include <array>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "util/check.h"
 
@@ -52,19 +56,24 @@ Buffer generate_text(size_t bytes, Rng& rng) {
 
 void WordCountMapper::map(ConstByteSpan input,
                           std::vector<KeyValue>& out) const {
-  std::string word;
-  for (uint8_t b : input) {
-    const char c = static_cast<char>(b);
-    if (c == ' ' || c == '\n' || c == '\t') {
-      if (!word.empty()) {
-        out.push_back({word, "1"});
-        word.clear();
-      }
-    } else {
-      word.push_back(c);
-    }
+  // In-mapper combining: count the split's words first (views into the
+  // input), then emit one partial count per distinct word in key order.
+  const auto is_space = [](char c) {
+    return c == ' ' || c == '\n' || c == '\t';
+  };
+  std::unordered_map<std::string_view, uint64_t> counts;
+  const char* it = reinterpret_cast<const char*>(input.data());
+  const char* const end = it + input.size();
+  while (it != end) {
+    const char* word = std::find_if_not(it, end, is_space);
+    it = std::find_if(word, end, is_space);
+    if (word != it) ++counts[std::string_view(word, it - word)];
   }
-  if (!word.empty()) out.push_back({word, "1"});
+  std::vector<std::pair<std::string_view, uint64_t>> sorted(counts.begin(),
+                                                            counts.end());
+  std::sort(sorted.begin(), sorted.end());
+  for (const auto& [word, count] : sorted)
+    out.push_back({std::string(word), std::to_string(count)});
 }
 
 void WordCountReducer::reduce(const std::string& key,

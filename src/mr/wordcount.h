@@ -17,13 +17,15 @@ inline constexpr size_t kWordCountRecordBytes = 50;
 // Generates `bytes` of text (must be a multiple of kWordCountRecordBytes).
 Buffer generate_text(size_t bytes, Rng& rng);
 
-// map: (text) → (word, "1") per word occurrence.
+// map: (text) → (word, count) once per distinct word of the split, in
+// ascending word order — the in-mapper form of a Hadoop combiner, so the
+// shuffle moves per-split partial counts, not one pair per occurrence.
 class WordCountMapper final : public Mapper {
  public:
   void map(ConstByteSpan input, std::vector<KeyValue>& out) const override;
 };
 
-// reduce: (word, ["1"...]) → (word, count).
+// reduce: (word, [partial counts...]) → (word, total).
 class WordCountReducer final : public Reducer {
  public:
   void reduce(const std::string& key, const std::vector<std::string>& values,

@@ -13,6 +13,10 @@
 #include "cli/archive.h"
 #include "core/galloper.h"
 #include "fault/fault.h"
+#include "mr/store_runner.h"
+#include "mr/wordcount.h"
+#include "sim/cluster.h"
+#include "store/file_store.h"
 #include "util/buffer_pool.h"
 #include "util/check.h"
 #include "util/flags.h"
@@ -745,6 +749,28 @@ TEST_F(ArchiveTest, ExitCodesDistinguishUsageAndDataErrors) {
     f.write(&byte, 1);
   }
   EXPECT_EQ(run_cli("repair " + (dir_ / "arch").string() + " --block=2"), 3);
+}
+
+// ---------- --stats ----------
+
+TEST(PlanStats, MrSectionReportsShuffledBytes) {
+  core::GalloperCode gal(4, 2, 1);
+  sim::Simulation sim;
+  sim::Cluster cluster(sim, gal.num_blocks() + 2, sim::ServerSpec{});
+  store::FileStore store(cluster, gal);
+  Rng rng(61);
+  const store::FileId id = store.write(
+      mr::generate_text(gal.engine().num_chunks() * 200, rng));
+  mr::WordCountMapper mapper;
+  mr::WordCountReducer reducer;
+  mr::reset_mr_stats();
+  const mr::StoreJobReport report =
+      mr::StoreRunner(mapper, reducer, {}).run_report(store, id);
+  const std::string stats = cli::format_plan_stats();
+  mr::reset_mr_stats();
+  EXPECT_GT(report.shuffle_bytes, 0u);
+  EXPECT_NE(stats.find("mr: 1 jobs"), std::string::npos) << stats;
+  EXPECT_NE(stats.find(" MB shuffled\n"), std::string::npos) << stats;
 }
 
 }  // namespace

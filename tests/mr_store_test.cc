@@ -1,7 +1,8 @@
 // Store-backed MapReduce: StoreRunner jobs over the real FileStore must be
 // bit-identical to LocalRunner::run_plain on the original file — across
 // code shapes, split caps, and thread counts; under silent corruption; and
-// with servers dying before or in the middle of the job. Also covers the
+// with servers dying before or in the middle of the job — and equal to
+// answers computed outside the MR code. Also covers the
 // split-subdivision and degraded-gather InputFormat APIs the runner sits on.
 #include <gtest/gtest.h>
 
@@ -9,6 +10,8 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -368,6 +371,106 @@ TEST(StoreRunner, MidJobServerFailureStillCompletesBitIdentically) {
   EXPECT_EQ(report.splits, 28u) << "no split is dropped";
 }
 
+// ---------- independent oracles ----------
+
+// Word counts from a tokenizer that shares no code with WordCountMapper.
+std::vector<KeyValue> oracle_word_counts(const Buffer& text) {
+  std::map<std::string, uint64_t> counts;
+  std::istringstream in(std::string(text.begin(), text.end()));
+  for (std::string word; in >> word;) ++counts[word];
+  std::vector<KeyValue> out;
+  for (const auto& [word, n] : counts)
+    out.push_back({word, std::to_string(n)});
+  return out;
+}
+
+TEST(StoreRunner, MatchesIndependentOraclesCleanAndDegraded) {
+  // run_plain shares the job's mapper, so a combiner that is wrong but
+  // self-consistent would pass every run_plain comparison; these answers
+  // come from outside the MR code.
+  core::GalloperCode gal(4, 2, 1);
+  Rng rng(53);
+  const size_t chunk = 40 * kWordCountRecordBytes;
+  const size_t bytes = gal.engine().num_chunks() * chunk;
+  const std::string needle = "zqzq";
+  const Buffer text = generate_text(bytes, rng);
+  const Buffer corpus = generate_grep_corpus(bytes, chunk, needle, rng);
+  const size_t occurrences = count_occurrences(corpus, needle);
+  ASSERT_GT(occurrences, 0u);
+  const std::vector<KeyValue> want_words = oracle_word_counts(text);
+  const std::vector<KeyValue> want_matches{
+      {"match", std::to_string(occurrences)}};
+
+  WordCountMapper wc_map;
+  WordCountReducer wc_red;
+  GrepMapper grep_map(needle);
+  GrepReducer grep_red;
+  for (bool degraded : {false, true}) {
+    StoreJob words(gal, chunk, rng, &text);
+    StoreJob matches(gal, chunk, rng, &corpus);
+    if (degraded)
+      for (StoreJob* job : {&words, &matches})
+        job->fs->fail_server(gal.num_blocks() - 1);
+    for (size_t cap : {chunk, words.fs->block_bytes(words.id)}) {
+      for (size_t threads : {size_t{1}, size_t{7}}) {
+        // Re-corrupt before every run: the previous run healed the block.
+        if (degraded)
+          for (StoreJob* job : {&words, &matches})
+            job->fs->corrupt_block(job->id, 2, 17);
+        StoreRunnerOptions opt;
+        opt.threads = threads;
+        opt.max_split_bytes = cap;
+        const auto wc = StoreRunner(wc_map, wc_red, opt)
+                            .run_report(*words.fs, words.id);
+        const auto grep = StoreRunner(grep_map, grep_red, opt)
+                              .run_report(*matches.fs, matches.id);
+        EXPECT_EQ(wc.output, want_words)
+            << "degraded=" << degraded << " cap=" << cap
+            << " threads=" << threads;
+        EXPECT_EQ(grep.output, want_matches)
+            << "degraded=" << degraded << " cap=" << cap
+            << " threads=" << threads;
+        EXPECT_EQ(wc.degraded_splits > 0, degraded);
+        EXPECT_EQ(grep.degraded_splits > 0, degraded);
+      }
+    }
+  }
+}
+
+// ---------- live shuffle vs the simulated profiles ----------
+
+TEST(StoreRunner, LiveShuffleRatioAgreesWithSimulatedProfiles) {
+  // The DES moves shuffle_ratio × input bytes per job; the live runner's
+  // emitted key + value bytes must agree: combining jobs (wordcount, grep)
+  // at or under their profile's ratio, terasort's pass-through at >= 1.
+  core::GalloperCode gal(4, 2, 1);
+  Rng rng(59);
+  const size_t chunk = 200 * 200;  // whole records of every job
+  const size_t bytes = gal.engine().num_chunks() * chunk;
+  const auto ratio = [&](const Mapper& mapper, const Reducer& reducer,
+                         const Buffer& input) {
+    StoreJob job(gal, chunk, rng, &input);
+    StoreRunnerOptions opt;
+    opt.threads = 4;
+    opt.max_split_bytes = chunk;
+    const auto report =
+        StoreRunner(mapper, reducer, opt).run_report(*job.fs, job.id);
+    EXPECT_EQ(report.output, LocalRunner(mapper, reducer).run_plain(input));
+    return static_cast<double>(report.shuffle_bytes) /
+           static_cast<double>(input.size());
+  };
+  const std::string needle = "zqzq";
+  EXPECT_LE(ratio(WordCountMapper(), WordCountReducer(),
+                  generate_text(bytes, rng)),
+            wordcount_profile().shuffle_ratio);
+  EXPECT_LE(ratio(GrepMapper(needle), GrepReducer(),
+                  generate_grep_corpus(bytes, chunk, needle, rng)),
+            grep_profile().shuffle_ratio);
+  EXPECT_GE(ratio(TeraSortMapper(), TeraSortReducer(),
+                  generate_records(bytes, rng)),
+            1.0);
+}
+
 // ---------- process-wide MrStats ----------
 
 TEST(StoreRunner, MrStatsAccumulateAcrossJobs) {
@@ -379,7 +482,7 @@ TEST(StoreRunner, MrStatsAccumulateAcrossJobs) {
   const StoreRunner runner(mapper, reducer, {});
 
   reset_mr_stats();
-  runner.run(*job.fs, job.id);
+  const uint64_t shuffled = runner.run_report(*job.fs, job.id).shuffle_bytes;
   runner.run(*job.fs, job.id);
   const MrStats stats = mr_stats();
   EXPECT_EQ(stats.jobs, 2u);
@@ -387,6 +490,8 @@ TEST(StoreRunner, MrStatsAccumulateAcrossJobs) {
   EXPECT_EQ(stats.degraded_splits, 0u);
   EXPECT_EQ(stats.bytes_original, 2 * job.file.size());
   EXPECT_EQ(stats.bytes_decoded, 0u);
+  EXPECT_GT(shuffled, 0u);
+  EXPECT_EQ(stats.shuffle_bytes, 2 * shuffled);
   EXPECT_GT(stats.map_ns, 0u);
   reset_mr_stats();
   EXPECT_EQ(mr_stats().jobs, 0u);
