@@ -1,7 +1,8 @@
 // Striped client. StripedReader serves a ranged read of a coded file by
-// fetching exactly the blocks its decode plan reads; StripedWriter streams
-// a write through slice→encode→assemble stages over rt::BoundedQueue, so
-// the next slice's encode overlaps the current slice's assembly.
+// fetching exactly the blocks its decode plan reads; a StripedWriter write
+// is an admission ticket plus one FileStore::write (encode, then the
+// checksum-then-write-fault store-back) on the calling thread — no stage
+// threads, no queues.
 //
 // A StripedReader read, after a cache miss (below), is one
 // FileStore::gather_range and one CodecPlan::execute_range on the calling
@@ -148,13 +149,6 @@ class StripedReader {
 };
 
 struct WriterOptions {
-  // Intra-chunk bytes encoded per pipeline slice. Each slice encodes a
-  // (num_chunks × slice) sub-file whose blocks are byte-columns of the
-  // full encode (the GF kernels are bytewise), so slicing never changes
-  // the stored bytes.
-  size_t slice_bytes = size_t{64} << 10;
-  // 0 → rt::queue_depth().
-  size_t queue_depth = 0;
   // null → AdmissionControl::global().
   AdmissionControl* admission = nullptr;
 };
@@ -163,8 +157,9 @@ class StripedWriter {
  public:
   explicit StripedWriter(store::FileStore& store, WriterOptions opt = {});
 
-  // Pipelined equivalent of FileStore::write — bit-identical stored blocks
-  // and checksums, identical injector write-fault schedule.
+  // FileStore::write behind the admission gate, counted in ClientStats
+  // and the client latency histogram — the same stored blocks, checksums
+  // and injector write-fault schedule as a direct write.
   store::FileId write(ConstByteSpan file);
 
  private:

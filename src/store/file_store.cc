@@ -16,9 +16,11 @@ namespace galloper::store {
 
 // Every store data path that touches more than one block runs in parallel:
 // read_range, gather_range and repair fetch their blocks as concurrent
-// CRC-checking fetches on the async I/O pool (io::AsyncIo), and read_range
-// and repair start decoding as soon as a decodable subset is clean;
-// scrub's pure-CPU checksum sweep stays on the compute pool
+// CRC-checking fetches on the async I/O pool (io::AsyncIo). read_range
+// starts decoding as soon as a decodable subset is clean; gather_range and
+// repair verify where they fetch — each fetch checks the very copy it
+// stages, and the decode reads only staged copies. Scrub's pure-CPU
+// checksum sweep stays on the compute pool
 // (rt::parallel_for) — it scales with cores, not with in-flight syscalls,
 // and its in-memory latencies must not pollute the kFetch histogram that
 // feeds the hedge deadline.
@@ -32,7 +34,10 @@ namespace galloper::store {
 // Locking discipline (mu_ is the block-state reader/writer lock):
 //  - probes/decodes take mu_ SHARED, re-checking residency inside (a
 //    concurrent reader may have quarantined the block since submission);
-//  - quarantine/install/update take mu_ EXCLUSIVE;
+//  - quarantine/install/update take mu_ EXCLUSIVE. repair picks its
+//    helpers under a shared hold, rebuilds from its staged copies with no
+//    lock, and goes exclusive only to quarantine a helper that failed its
+//    fetch and to install;
 //  - mu_ is never held across a FetchSet await/join, so a probe parked in
 //    an injected stall cannot wedge writers (the stall runs BEFORE the
 //    probe body via FetchSet's stall_s, outside any lock);
@@ -162,11 +167,18 @@ std::shared_ptr<const Buffer> FileStore::cached_block(
   return cached_block_locked(id, b, generation);
 }
 
-std::shared_ptr<const Buffer> FileStore::load_verified_block(FileId id,
-                                                             size_t b) const {
+std::optional<FileStore::VerifiedBlockCopy> FileStore::verified_copy(
+    FileId id, size_t b) const {
   auto copy = read_block_for_cache(id, b);
   if (!copy.has_value() || crc32c(ConstByteSpan(copy->bytes)) != copy->crc)
-    return nullptr;
+    return std::nullopt;
+  return copy;
+}
+
+std::shared_ptr<const Buffer> FileStore::load_verified_block(FileId id,
+                                                             size_t b) const {
+  auto copy = verified_copy(id, b);
+  if (!copy.has_value()) return nullptr;
   auto entry = std::make_shared<const Buffer>(std::move(copy->bytes));
   if (cache_ != nullptr && cache_->enabled())
     cache_->put(cache_uid_, id, b, copy->generation, entry);
@@ -212,21 +224,12 @@ std::optional<Buffer> FileStore::read_range_cached(FileId id, size_t offset,
 }
 
 FileId FileStore::write(ConstByteSpan file) {
-  // Encode outside the lock (pure CPU); the checksum-then-write-fault
-  // sequence in write_encoded is identical to the historical inline form.
-  return write_encoded(code_.encode(file));
-}
-
-FileId FileStore::write_encoded(std::vector<Buffer> blocks) {
-  GALLOPER_CHECK_MSG(blocks.size() == code_.num_blocks(),
-                     "write_encoded wants one buffer per code block");
-  for (const auto& b : blocks)
-    GALLOPER_CHECK_MSG(!b.empty() && b.size() == blocks[0].size(),
-                       "write_encoded blocks must be equal-sized, non-empty");
-  // Writers serialize on write_mu_ — only write_encoded ever appends to
-  // files_, so the id guessed here is the id the append gets. mu_ is NOT
-  // held across the injector callbacks: a write gate (the soak harness's)
-  // calls back into the store's locked accessors.
+  // Encode outside every lock (pure CPU).
+  std::vector<Buffer> blocks = code_.encode(file);
+  // Writers serialize on write_mu_ — only write ever appends to files_, so
+  // the id guessed here is the id the append gets. mu_ is NOT held across
+  // the injector callbacks: a write gate (the soak harness's) calls back
+  // into the store's locked accessors.
   std::lock_guard<std::mutex> write_lock(write_mu_);
   FileId id;
   {
@@ -933,48 +936,31 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
   constexpr size_t kMaxIncarnationRetries = 8;
   size_t incarnation_retries = 0;
   for (size_t attempt = 0; attempt < kRepairReadAttempts; ++attempt) {
-    // Helper selection + CRC verification happen atomically under the
-    // exclusive lock: a bad helper is quarantined like any other corrupt
-    // block (a later pass rebuilds it) and the selection rolls again
-    // without it — a silently rotted helper must never launder its
-    // corruption into a freshly-checksummed "repaired" block.
     std::vector<size_t> helpers;
     size_t bbytes = 0;  // block size, for the gather's budget accounting
-    bool helper_quarantined = false;
-    bool already_repaired = false;
     // The attempt's view of the TARGET: which server hosts the slot, and
     // that server's liveness epoch. Everything this attempt rebuilds is
     // only valid for this exact incarnation — the install below re-checks
     // both under the exclusive lock and aborts on any change, because a
     // kill/revive cycle in between means the revive declared the block
-    // lost and installing a pre-cycle rebuild would silently resurrect it
-    // (the race file_store.h used to merely document).
+    // lost and installing a pre-cycle rebuild would silently resurrect it.
     size_t target_server = 0;
     uint64_t target_epoch = 0;
     {
-      std::unique_lock<std::shared_mutex> lock(mu_);
+      std::shared_lock<std::shared_mutex> lock(mu_);
       bbytes = file_block_bytes_[id];
       target_server = placement_[block_id];
       target_epoch = cluster_.server(target_server).epoch();
       if ((target_epoch & 1) != 0) return std::nullopt;  // died since entry
-      if (files_[id][block_id].has_value()) {
-        already_repaired = true;  // a concurrent reader healed it first
-      } else {
-        // Preferred (local) helpers first; generic fallback to all
-        // available.
-        helpers = code_.repair_helpers(block_id);
-        bool helpers_ok = true;
-        for (size_t h : helpers)
-          helpers_ok &= block_available_locked(id, h);
-        if (!helpers_ok) helpers = available_blocks_locked(id);
-        for (size_t h : helpers)
-          helper_quarantined |= quarantine_locked(id, h);
-      }
-    }
-    if (already_repaired) return std::vector<size_t>{};
-    if (helper_quarantined) {
-      --attempt;  // reselection, not a transient retry
-      continue;
+      // A concurrent reader healed it first.
+      if (files_[id][block_id].has_value()) return std::vector<size_t>{};
+      // Preferred (local) helpers first; generic fallback to all available.
+      helpers = code_.repair_helpers(block_id);
+      for (size_t h : helpers)
+        if (!block_available_locked(id, h)) {
+          helpers = available_blocks_locked(id);
+          break;
+        }
     }
 
     // One compiled plan per (failed, helper-set) pattern, pinned in the
@@ -988,11 +974,7 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
     // Pre-draw the gather's fault schedule in helper order, breaking at
     // the first failure exactly like the old serial gather loop (the
     // forced-failure tests count on one draw per failed attempt).
-    struct HelperFetch {
-      size_t helper;
-      double stall_s;
-    };
-    std::vector<HelperFetch> fetch_plan;
+    std::vector<Candidate> fetch_plan;
     bool gather_failed = false;
     for (size_t h : helpers) {
       const double stall_s = injector_ ? injector_->read_latency() : 0;
@@ -1005,55 +987,75 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
     }
     if (gather_failed) continue;
 
-    // Gather the helpers concurrently. Ready means every planned helper
-    // answered — or, once the hedge deadline has fired, any clean set the
-    // code can rebuild from (drafted spares). The `hedged` gate keeps
-    // no-stall repairs on the pinned plan: a partial subset must never
-    // grab a fresh pattern just because its probes finished first.
+    // Gather the helpers concurrently, each fetch verifying the copy the
+    // rebuild will read (a byte flipped after the check is in the store,
+    // not in the copy). The first verified copy per block is staged; a
+    // hedge that lands second is discarded. Ready means every planned
+    // helper answered. Spares drafted at the hedge deadline are the
+    // fallback route: they end the wait early only when the hedge budget
+    // denied a re-read (else the await runs until every fetch resolves,
+    // and a helper that failed its check is rebuilt around from them), so
+    // a partial subset never grabs a fresh pattern just because its
+    // fetches finished before a granted hedge.
+    std::vector<std::optional<Buffer>> staged(code_.num_blocks());
+    std::mutex stage_mu;
     io::FetchSet fetches(io ? *io : io::AsyncIo::global());
-    bool hedged = false;
-    auto fetch_probe = [this] {
-      return [this] {
+    const auto fetch_op = [&](size_t b) {
+      return [this, id, b, &staged, &stage_mu] {
         if (injector_) injector_->crash_point("store.fetch");
+        std::optional<VerifiedBlockCopy> copy = verified_copy(id, b);
+        if (!copy.has_value()) return false;
+        std::lock_guard<std::mutex> lock(stage_mu);
+        if (!staged[b].has_value()) staged[b] = std::move(copy->bytes);
         return true;
       };
     };
-    for (const HelperFetch& f : fetch_plan)
-      fetches.fetch(f.helper, f.stall_s, fetch_probe(), /*hedge=*/false,
+    bool hedge_denied = false;
+    for (const Candidate& f : fetch_plan)
+      fetches.fetch(f.block, f.stall_s, fetch_op(f.block), /*hedge=*/false,
                     bbytes);
     fetches.await(
         [&](const std::vector<size_t>& clean) {
           if (std::includes(clean.begin(), clean.end(), want.begin(),
                             want.end()))
             return true;
-          return hedged && code_.decodable(clean);
+          return hedge_denied && code_.decodable(clean);
         },
         [&](const std::vector<size_t>& pending) {
-          hedged = true;
           // Hedge the slow helpers on a second replica path, and draft
-          // CRC-clean spare helpers as an alternate decodable route. No
-          // injector draws here: hedges must not perturb the schedule.
+          // every other available block as a spare route (each spare
+          // verifies its own copy). No injector draws here: hedges must
+          // not perturb the schedule.
           for (size_t h : pending)
-            fetches.fetch(h, 0.0, fetch_probe(), /*hedge=*/true, bbytes);
+            hedge_denied |=
+                !fetches.fetch(h, 0.0, fetch_op(h), /*hedge=*/true, bbytes);
           std::vector<size_t> spares;
           {
             std::shared_lock<std::shared_mutex> lock(mu_);
-            for (size_t s : available_blocks_locked(id)) {
-              if (s == block_id) continue;
-              if (std::find(helpers.begin(), helpers.end(), s) !=
-                  helpers.end())
-                continue;
-              if (!crc_clean_locked(id, s)) continue;
-              spares.push_back(s);
-            }
+            spares = available_blocks_locked(id);
           }
           for (size_t s : spares)
-            fetches.fetch(s, 0.0, fetch_probe(), /*hedge=*/true, bbytes);
+            if (s != block_id &&
+                std::find(helpers.begin(), helpers.end(), s) == helpers.end())
+              fetches.fetch(s, 0.0, fetch_op(s), /*hedge=*/true, bbytes);
         });
     // Losers (hedged-over stalls) are cancelled before anything proceeds;
     // an async crash point surfaces here, with the store unmutated.
     fetches.cancel_and_join();
     fetches.rethrow_any_failure();
+
+    // A fetch that failed its check quarantines its block if it is still
+    // resident and still corrupt (one CRC failure each; a repair is not a
+    // degraded read) — a rotted helper is never trusted again.
+    std::vector<size_t> failed;
+    for (size_t b = 0; b < code_.num_blocks(); ++b)
+      if (fetches.outcome(b) == io::FetchSet::Outcome::kCorrupt)
+        failed.push_back(b);
+    bool helper_quarantined = false;
+    if (!failed.empty()) {
+      std::unique_lock<std::shared_mutex> lock(mu_);
+      for (size_t b : failed) helper_quarantined |= quarantine_locked(id, b);
+    }
 
     const std::vector<size_t> clean = fetches.clean_keys();
     std::vector<size_t> use_helpers;
@@ -1065,29 +1067,18 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
       use_helpers = clean;  // hedged route: rebuild from whoever answered
       use_plan = pinned_repair_plan(block_id, clean, clean);
     } else {
-      continue;  // cancelled mid-gather with no decodable subset: retry
+      // No decodable verified set. A quarantine reselects without the bad
+      // helper (not a transient retry); a helper that merely vanished
+      // (concurrent quarantine, kill or repair) costs an attempt.
+      if (helper_quarantined) --attempt;
+      continue;
     }
 
-    // Rebuild under the shared lock (helpers must stay resident through
-    // the kernel run); a helper a concurrent reader quarantined since the
-    // gather forces a fresh selection.
-    std::optional<Buffer> rebuilt;
-    bool helpers_vanished = false;
-    {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      std::map<size_t, ConstByteSpan> view;
-      for (size_t h : use_helpers) {
-        const auto data = block_locked(id, h);
-        if (!data) {
-          helpers_vanished = true;
-          break;
-        }
-        view.emplace(h, *data);
-      }
-      if (!helpers_vanished)
-        rebuilt = code_.engine().repair_block_with_plan(*use_plan, view);
-    }
-    if (helpers_vanished) continue;
+    // Rebuild with no lock held: the staged copies are private and verified.
+    std::map<size_t, ConstByteSpan> view;
+    for (size_t h : use_helpers) view.emplace(h, ConstByteSpan(*staged[h]));
+    std::optional<Buffer> rebuilt =
+        code_.engine().repair_block_with_plan(*use_plan, view);
     if (!rebuilt) return std::nullopt;
     // Crash window: the rebuild finished but the block is not yet
     // installed. A crash here must leave the store exactly as before the
@@ -1121,7 +1112,7 @@ std::optional<std::vector<size_t>> FileStore::repair(FileId id,
         continue;
       }
       // A concurrent repair may have won the race; its bytes are as good
-      // as ours (both CRC-verified rebuilds of the same block).
+      // as ours (both rebuilt from verified helpers).
       if (!files_[id][block_id].has_value()) {
         bump_generation_locked(id, block_id);
         files_[id][block_id] = std::move(*rebuilt);

@@ -159,17 +159,12 @@ class FileStore {
   std::optional<Buffer> read_range_cached(FileId id, size_t offset,
                                           size_t length);
 
-  // Encodes and stores a file. Size must be a positive multiple of the
-  // code's chunk count.
+  // Encodes and stores a file (also the StripedWriter's landing point).
+  // Size must be a positive multiple of the code's chunk count. Each block's
+  // TRUE checksum is recorded before the injector's write fault for that
+  // block is drawn, in block order, so an injected fault is silent
+  // corruption the CRC paths catch. File ids are assigned in call order.
   FileId write(ConstByteSpan file);
-
-  // Stores already-encoded blocks (one per code block, equal sizes) with
-  // the exact checksum-then-write-fault sequence of write(). This is the
-  // StripedWriter's landing point: the client encodes slice-by-slice on
-  // pipeline stages, assembles full blocks, and commits them here — the
-  // injector sees the same one-draw-per-block schedule as write(), so a
-  // pipelined write is bit-identical to the direct one.
-  FileId write_encoded(std::vector<Buffer> blocks);
 
   size_t num_files() const;
   size_t block_bytes(FileId id) const;
@@ -303,11 +298,19 @@ class FileStore {
                                    ConstByteSpan data);
 
   // Restores one lost block from the available blocks (preferred helpers
-  // when alive, any sufficient subset otherwise). Helper blocks are
-  // gathered concurrently through the async I/O pool; a helper still slow
-  // at the hedge deadline is re-read on a second path and CRC-clean spare
-  // helpers are drafted as an alternate decodable route (the stalled
-  // loser is cancelled). Returns the blocks read (the disk I/O set);
+  // when alive, any sufficient subset otherwise). Helpers are chosen under
+  // a shared hold and fetched concurrently through the async I/O pool; each
+  // fetch passes the "store.fetch" crash point, then takes a verified copy
+  // (verified_copy: never cached), and the rebuild runs with no lock on
+  // those copies, so a helper byte flipped after its check never reaches
+  // the rebuilt block. A helper that fails its fetch check is quarantined
+  // (one crc_failures each — a repair is not a degraded read) and the
+  // helpers are chosen again without it. A helper still slow at the hedge
+  // deadline is re-read on a second path and the other available blocks
+  // are drafted as spares, each verifying its own copy; the spares are
+  // the rebuild route when a hedge is denied by the budget or a helper
+  // fails its check (the stalled loser is cancelled). The store lock is
+  // exclusive only to quarantine and to install. Returns the blocks read;
   // nullopt if unrecoverable — structurally, OR because the target server
   // died mid-repair (the block stays lost; retry after a revive). The
   // install re-checks the target's {server, liveness epoch} captured when
@@ -377,6 +380,11 @@ class FileStore {
   bool crc_clean_locked(FileId id, size_t b) const;
   std::shared_ptr<const Buffer> cached_block_locked(FileId id, size_t b,
                                                     uint64_t generation) const;
+  // Verify where fetched: a read_block_for_cache copy of block `b` that
+  // matches the checksum copied with it, or nullopt (lost block, dead
+  // server, or a CRC mismatch). The one check behind load_verified_block
+  // and repair's helper fetches; touches no cache and no counter.
+  std::optional<VerifiedBlockCopy> verified_copy(FileId id, size_t b) const;
   // Looks up / compiles-and-pins the repair plan for (block, sorted
   // helpers) under plans_mu_.
   std::shared_ptr<const codes::CodecPlan> pinned_repair_plan(
@@ -447,7 +455,7 @@ class FileStore {
            std::shared_ptr<const codes::CodecPlan>>
       repair_plans_;
 
-  // Serializes write_encoded callers, so the file id chosen before the
+  // Serializes write callers, so the file id chosen before the
   // (unlocked) injector write-fault callbacks is the id the append gets.
   // Injector callbacks may call back into the store (the soak harness's
   // write gate does), so they must NEVER run under mu_.

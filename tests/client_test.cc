@@ -290,46 +290,39 @@ TEST(StripedReaderTest, ReadFetchesOnlyThePlannedBlocks) {
   EXPECT_EQ(pool.stats().fetches - before, slots.size());
 }
 
-// The pipelined writer commits through write_encoded, which replays the
-// exact checksum-then-write-fault sequence of write(): two stores driven
-// by same-seed injectors must end up with identical raw blocks, whatever
-// the slice size (including degenerate 1-byte and non-divisor slices).
+// A striped write is FileStore::write behind the admission gate: two
+// stores driven by same-seed injectors must end up with identical raw
+// blocks, torn writes included.
 TEST(StripedWriterTest, BitIdenticalToDirectWrites) {
   core::GalloperCode code(4, 2, 2);
   Rng rng(21);
   const size_t chunk = 4096;
   const Buffer file = random_buffer(code.engine().num_chunks() * chunk, rng);
 
-  for (size_t slice : {size_t{1}, size_t{1000}, size_t{1024}, chunk,
-                       3 * chunk}) {
-    sim::Simulation sim_a, sim_b;
-    sim::Cluster cluster_a(sim_a, code.num_blocks() + 2, sim::ServerSpec{});
-    sim::Cluster cluster_b(sim_b, code.num_blocks() + 2, sim::ServerSpec{});
-    store::FileStore direct(cluster_a, code);
-    store::FileStore piped(cluster_b, code);
-    fault::FaultInjector inj_a(4242), inj_b(4242);
-    inj_a.set_torn_write_rate(0.2);
-    inj_b.set_torn_write_rate(0.2);
-    direct.set_fault_injector(&inj_a);
-    piped.set_fault_injector(&inj_b);
+  sim::Simulation sim_a, sim_b;
+  sim::Cluster cluster_a(sim_a, code.num_blocks() + 2, sim::ServerSpec{});
+  sim::Cluster cluster_b(sim_b, code.num_blocks() + 2, sim::ServerSpec{});
+  store::FileStore direct(cluster_a, code);
+  store::FileStore striped(cluster_b, code);
+  fault::FaultInjector inj_a(4242), inj_b(4242);
+  inj_a.set_torn_write_rate(0.2);
+  inj_b.set_torn_write_rate(0.2);
+  direct.set_fault_injector(&inj_a);
+  striped.set_fault_injector(&inj_b);
 
-    const store::FileId id_a = direct.write(file);
-    WriterOptions opt;
-    opt.slice_bytes = slice;
-    StripedWriter writer(piped, opt);
-    const store::FileId id_b = writer.write(file);
-    ASSERT_EQ(id_a, id_b);
+  const store::FileId id_a = direct.write(file);
+  StripedWriter writer(striped);
+  const store::FileId id_b = writer.write(file);
+  ASSERT_EQ(id_a, id_b);
 
-    for (size_t b = 0; b < code.num_blocks(); ++b) {
-      const auto span_a = direct.block(id_a, b);
-      const auto span_b = piped.block(id_b, b);
-      ASSERT_TRUE(span_a.has_value());
-      ASSERT_TRUE(span_b.has_value());
-      ASSERT_EQ(span_a->size(), span_b->size());
-      EXPECT_TRUE(std::equal(span_a->begin(), span_a->end(),
-                             span_b->begin()))
-          << "slice=" << slice << " block=" << b;
-    }
+  for (size_t b = 0; b < code.num_blocks(); ++b) {
+    const auto span_a = direct.block(id_a, b);
+    const auto span_b = striped.block(id_b, b);
+    ASSERT_TRUE(span_a.has_value());
+    ASSERT_TRUE(span_b.has_value());
+    ASSERT_EQ(span_a->size(), span_b->size());
+    EXPECT_TRUE(std::equal(span_a->begin(), span_a->end(), span_b->begin()))
+        << "block=" << b;
   }
 }
 

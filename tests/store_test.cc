@@ -9,6 +9,7 @@
 #include "codes/reed_solomon.h"
 #include "core/galloper.h"
 #include "core/input_format.h"
+#include "io/async.h"
 #include "store/file_store.h"
 #include "store/recovery.h"
 #include "util/check.h"
@@ -672,15 +673,56 @@ TEST_F(FileStoreTest, RepairNeverLaundersACorruptHelper) {
   const auto helpers = code.repair_helpers(0);
   ASSERT_FALSE(helpers.empty());
   fs.corrupt_block(id, helpers[0], 3);
+  const size_t degraded_before = fs.read_stats().degraded_reads;
 
   ASSERT_TRUE(fs.repair(id, 0).has_value());
   EXPECT_GE(fs.read_stats().crc_failures, 1u);
+  EXPECT_EQ(fs.read_stats().degraded_reads, degraded_before)
+      << "a helper quarantined by a repair is not a degraded read";
   // The rotten helper is quarantined, not trusted; heal it and verify
   // everything round-trips.
   EXPECT_EQ(fs.lost_blocks(id), std::vector<size_t>{helpers[0]});
   ASSERT_TRUE(fs.repair(id, helpers[0]).has_value());
   EXPECT_EQ(*fs.read(id), file);
   EXPECT_TRUE(fs.scrub(/*quarantine=*/false).empty());
+}
+
+// A helper that rots after a repair could have checked it must still never
+// reach the rebuilt block: repair verifies each helper on the copy it
+// rebuilds from. The first helper fetch stalls 1 s and that helper is
+// flipped at ~300 ms — after a check-then-read repair would have passed it,
+// before its bytes are used.
+TEST_F(FileStoreTest, RepairNeverRebuildsFromAHelperFlippedAfterItsCheck) {
+  const Buffer file = make_file();
+  const FileId id = fs.write(file);
+  fs.fail_server(0);
+  fs.revive_server(0);
+  const size_t helper = code.repair_helpers(0)[0];
+
+  io::AsyncIo& pool = io::AsyncIo::global();
+  const io::HedgePolicy saved = pool.hedge_policy();
+  io::HedgePolicy fixed = saved;
+  fixed.fixed_deadline_s = 10.0;
+  pool.set_hedge_policy(fixed);
+  fault::FaultInjector inj(7);
+  inj.stall_next_reads(1, 1.0);
+  fs.set_fault_injector(&inj);
+  const size_t crc_before = fs.read_stats().crc_failures;
+
+  std::thread corruptor([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    fs.corrupt_block(id, helper, 5);
+  });
+  const auto helpers = fs.repair(id, 0);
+  corruptor.join();
+  fs.set_fault_injector(nullptr);
+  pool.set_hedge_policy(saved);
+
+  ASSERT_TRUE(helpers.has_value());
+  for (const auto& bad : fs.scrub(/*quarantine=*/false))
+    EXPECT_NE(bad.block, 0u) << "the rebuilt block took the flipped byte";
+  EXPECT_EQ(*fs.read(id), file);
+  EXPECT_EQ(fs.read_stats().crc_failures, crc_before + 1);
 }
 
 TEST(Recovery, ReportsUnrecoverableBlocks) {
