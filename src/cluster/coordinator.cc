@@ -58,10 +58,13 @@ void Coordinator::restart_node(size_t n) {
   // EMPTY by contract — the epoch fix in FileStore::repair is what makes
   // that contract hold against in-flight repairs).
   queue_->clear_unrecoverable();
-  const size_t files = store_.num_files();
-  for (size_t b : blocks_on(n))
-    for (store::FileId id = 0; id < files; ++id)
-      if (!store_.block_available(id, b)) queue_->enqueue(id, b);
+  for (size_t b : blocks_on(n)) enqueue_unavailable(b);
+}
+
+void Coordinator::enqueue_unavailable(size_t b) {
+  const auto snap = store_.availability();
+  for (store::FileId id = 0; id < snap.files.size(); ++id)
+    if (!(snap.files[id].available >> b & 1)) queue_->enqueue(id, b);
 }
 
 std::vector<size_t> Coordinator::decommission(size_t n) {
@@ -92,9 +95,7 @@ std::vector<size_t> Coordinator::decommission(size_t n) {
     // until this line, on the new node after — never degraded), and a slot
     // that was LOST rebuilds onto its new home via the queue.
     store_.reassign_block(b, spare);
-    const size_t files = store_.num_files();
-    for (store::FileId id = 0; id < files; ++id)
-      if (!store_.block_available(id, b)) queue_->enqueue(id, b);
+    enqueue_unavailable(b);
   }
   src.set_state(NodeState::kDecommissioned);
   return moved;
@@ -104,7 +105,7 @@ std::vector<Coordinator::NodeHealth> Coordinator::health() const {
   std::vector<NodeHealth> out;
   out.reserve(nodes_.size());
   const auto placement = store_.placement();
-  const size_t files = store_.num_files();
+  const auto snap = store_.availability();
   for (size_t s = 0; s < nodes_.size(); ++s) {
     NodeHealth h;
     h.id = s;
@@ -116,8 +117,8 @@ std::vector<Coordinator::NodeHealth> Coordinator::health() const {
     for (size_t b = 0; b < placement.size(); ++b) {
       if (placement[b] != s) continue;
       ++h.slots;
-      for (store::FileId id = 0; id < files; ++id)
-        if (!store_.block_available(id, b)) ++h.lost_blocks;
+      for (const auto& m : snap.files)
+        if (!(m.available >> b & 1)) ++h.lost_blocks;
     }
     out.push_back(h);
   }

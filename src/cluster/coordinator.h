@@ -92,6 +92,10 @@ class Coordinator {
   std::vector<NodeHealth> health() const;
 
  private:
+  // Enqueues slot b of every file whose slot b is unavailable, read from
+  // one availability snapshot.
+  void enqueue_unavailable(size_t b);
+
   store::FileStore& store_;
   std::vector<std::unique_ptr<DataNode>> nodes_;
   std::unique_ptr<RepairQueue> queue_;

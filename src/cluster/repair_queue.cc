@@ -1,6 +1,7 @@
 #include "cluster/repair_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "fault/fault.h"
@@ -13,6 +14,13 @@ RepairQueue::RepairQueue(store::FileStore& store,
                          RepairQueueOptions opt)
     : store_(store), nodes_(nodes), opt_(opt) {
   GALLOPER_CHECK(opt_.workers >= 1);
+  const size_t n = store_.code().num_blocks();
+  GALLOPER_CHECK_MSG(n <= 64, "the repair queue ranks codes of <= 64 blocks");
+  all_blocks_ = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+  helper_masks_.resize(n);
+  for (size_t b = 0; b < n; ++b)
+    for (size_t h : store_.code().repair_helpers(b))
+      helper_masks_[b] |= uint64_t{1} << h;
   workers_.reserve(opt_.workers);
   for (size_t w = 0; w < opt_.workers; ++w)
     workers_.emplace_back([this] { worker_loop(); });
@@ -37,21 +45,23 @@ void RepairQueue::enqueue(store::FileId file, size_t block) {
 }
 
 size_t RepairQueue::enqueue_lost() {
+  const auto snap = store_.availability();
   size_t scheduled = 0;
-  const size_t files = store_.num_files();
-  for (store::FileId id = 0; id < files; ++id) {
-    for (size_t b : store_.lost_blocks(id)) {
-      if (!store_.cluster().server(store_.server_of(b)).alive()) continue;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (store::FileId id = 0; id < snap.files.size(); ++id) {
+      // Lost (no bytes) on a slot whose server is alive.
+      for (uint64_t owed = snap.live_slots & ~snap.files[id].present;
+           owed != 0; owed &= owed - 1) {
+        const size_t b = static_cast<size_t>(std::countr_zero(owed));
         if (unrecoverable_.count({id, b})) continue;
         if (!queued_.insert({id, b}).second) continue;
         pending_.push_back(Task{id, b, next_seq_++});
+        ++scheduled;
       }
-      ++scheduled;
-      cv_.notify_one();
     }
   }
+  if (scheduled > 0) cv_.notify_all();
   return scheduled;
 }
 
@@ -61,30 +71,29 @@ void RepairQueue::clear_unrecoverable() {
   unrecoverable_.clear();
 }
 
-size_t RepairQueue::deficit(store::FileId file, size_t block) const {
-  size_t d = 0;
-  for (size_t h : store_.code().repair_helpers(block))
-    if (!store_.block_available(file, h)) ++d;
-  return d;
-}
-
-size_t RepairQueue::pick_locked() const {
+RepairQueue::Pick RepairQueue::pick_locked() const {
   // Live priority: (helper deficit desc, file's total lost blocks desc,
-  // seq asc). Recomputed per pop because repairs and kills since enqueue
-  // change both components. O(pending) scan — the queue is maintenance
-  // traffic, not a data path.
-  size_t best = SIZE_MAX;
-  size_t best_deficit = 0, best_lost = 0;
+  // seq asc), recomputed per pop because repairs and kills since enqueue
+  // change both components. Every pending task is ranked against ONE
+  // store snapshot: two popcounts per task, one shared-lock hold per pop.
+  std::vector<store::FileId> files;
+  files.reserve(pending_.size());
+  for (const Task& t : pending_) files.push_back(t.file);
+  const auto snap = store_.availability(files);
+  Pick best;
+  size_t best_lost = 0;
   for (size_t i = 0; i < pending_.size(); ++i) {
     const Task& t = pending_[i];
-    const size_t d = deficit(t.file, t.block);
-    const size_t lost = store_.lost_blocks(t.file).size();
-    if (best == SIZE_MAX || d > best_deficit ||
-        (d == best_deficit && lost > best_lost) ||
-        (d == best_deficit && lost == best_lost &&
-         t.seq < pending_[best].seq)) {
-      best = i;
-      best_deficit = d;
+    const auto& m = snap.files[i];
+    const size_t d = static_cast<size_t>(
+        std::popcount(helper_masks_[t.block] & ~m.available));
+    const size_t lost =
+        static_cast<size_t>(std::popcount(all_blocks_ & ~m.present));
+    if (best.index == SIZE_MAX || d > best.deficit ||
+        (d == best.deficit && lost > best_lost) ||
+        (d == best.deficit && lost == best_lost &&
+         t.seq < pending_[best.index].seq)) {
+      best = Pick{i, d};
       best_lost = lost;
     }
   }
@@ -96,11 +105,10 @@ void RepairQueue::worker_loop() {
   for (;;) {
     cv_.wait(lock, [this] { return stop_ || !pending_.empty(); });
     if (stop_) return;
-    const size_t i = pick_locked();
-    if (i == SIZE_MAX) continue;
-    Task task = pending_[i];
-    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(i));
-    const size_t deficit_at_pop = deficit(task.file, task.block);
+    const Pick pick = pick_locked();
+    if (pick.index == SIZE_MAX) continue;
+    Task task = pending_[pick.index];
+    pending_.erase(pending_.begin() + static_cast<ptrdiff_t>(pick.index));
     ++in_flight_;
     lock.unlock();
 
@@ -149,7 +157,7 @@ void RepairQueue::worker_loop() {
       case Outcome::kDone:
         ++stats_.completed;
         completions_.push_back(
-            Completion{task.file, task.block, deficit_at_pop, task.attempts});
+            Completion{task.file, task.block, pick.deficit, task.attempts});
         queued_.erase({task.file, task.block});
         break;
       case Outcome::kStale:

@@ -14,7 +14,17 @@
 // Priorities are live: they are recomputed from current block availability
 // at every pop (a helper healed since enqueue lowers the deficit; a fresh
 // kill raises it), with total-lost-blocks-in-file then FIFO order breaking
-// ties. Executing a task re-checks everything — still lost? target server
+// ties. A pop ranks every pending task — hundreds after a node restart —
+// against ONE FileStore::availability snapshot of their files (one
+// shared-lock hold), scoring each with two popcounts against masks fixed
+// at construction: deficit = popcount(helpers(b) & ~available), lost =
+// popcount(~present). Codes are therefore limited to 64 blocks (checked
+// at construction; every shipped shape has at most 12). Measured in
+// perfbench's rebuild drain on 4 vCPUs: ~19 us per pop against ~145 us
+// per repair. Ranking with a store-lock round-trip and a vector per task
+// instead cost ~136 us per pop, as much as the repairs themselves.
+//
+// Executing a task re-checks everything — still lost? target server
 // alive? — because chaos does not wait for the queue: a task whose target
 // died is dropped (the node's restart re-enqueues its slots), a stale task
 // whose block healed is dropped, a transiently failing repair is requeued
@@ -37,6 +47,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -59,7 +70,7 @@ class RepairQueue {
   struct Completion {
     store::FileId file = 0;
     size_t block = 0;
-    size_t deficit = 0;   // surviving-helper deficit when popped
+    size_t deficit = 0;   // surviving-helper deficit the pop ranked by
     size_t attempts = 0;  // executions this task took
   };
 
@@ -96,9 +107,6 @@ class RepairQueue {
   // and waited for, so drain self-corrects dropped-task races.
   bool drain(double timeout_s = 30.0);
 
-  // Surviving-helper deficit of (file, block) measured NOW.
-  size_t deficit(store::FileId file, size_t block) const;
-
   Stats stats() const;
   std::vector<Completion> completions() const;
 
@@ -110,13 +118,22 @@ class RepairQueue {
     size_t attempts = 0;
   };
 
+  struct Pick {
+    size_t index = SIZE_MAX;  // into pending_; SIZE_MAX when empty
+    size_t deficit = 0;       // the deficit it was ranked by
+  };
+
   void worker_loop();
-  // Highest-priority pending index, or SIZE_MAX. Caller holds mu_.
-  size_t pick_locked() const;
+  // Highest-priority pending task. Caller holds mu_.
+  Pick pick_locked() const;
 
   store::FileStore& store_;
   const std::vector<std::unique_ptr<DataNode>>& nodes_;
   const RepairQueueOptions opt_;
+  // Ranking masks over block slots, fixed by the code at construction:
+  // helper_masks_[b] has bit h set iff h is a preferred helper of b.
+  uint64_t all_blocks_ = 0;
+  std::vector<uint64_t> helper_masks_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;       // workers: work available / stop

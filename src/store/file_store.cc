@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <tuple>
 
@@ -335,6 +336,31 @@ std::vector<size_t> FileStore::lost_blocks(FileId id) const {
   for (size_t b = 0; b < code_.num_blocks(); ++b)
     if (!files_[id][b].has_value()) out.push_back(b);
   return out;
+}
+
+FileStore::AvailabilitySnapshot FileStore::availability(
+    const std::vector<FileId>& ids) const {
+  const size_t n = code_.num_blocks();
+  GALLOPER_CHECK_MSG(n <= 64, "availability masks cover at most 64 blocks");
+  AvailabilitySnapshot snap;
+  snap.files.resize(ids.size());
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  for (size_t b = 0; b < n; ++b)
+    if (cluster_.server(placement_[b]).alive()) snap.live_slots |= 1ull << b;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    GALLOPER_CHECK(ids[i] < files_.size());
+    BlockMasks& m = snap.files[i];
+    for (size_t b = 0; b < n; ++b)
+      if (files_[ids[i]][b].has_value()) m.present |= 1ull << b;
+    m.available = m.present & snap.live_slots;
+  }
+  return snap;
+}
+
+FileStore::AvailabilitySnapshot FileStore::availability() const {
+  std::vector<FileId> ids(num_files());  // files are only ever appended
+  std::iota(ids.begin(), ids.end(), FileId{0});
+  return availability(ids);
 }
 
 bool FileStore::all_recoverable() const {

@@ -336,6 +336,28 @@ class FileStore {
   // Blocks of `id` that are currently lost.
   std::vector<size_t> lost_blocks(FileId id) const;
 
+  // ---- Availability snapshots --------------------------------------------
+  //
+  // Block state of many files read under ONE shared-lock hold, as bitmasks
+  // over block slots (bit b = slot b; the code must have at most 64
+  // blocks). `present` holds the slots that have bytes — the complement of
+  // lost_blocks, blind to liveness — and `available` those that have bytes
+  // on an alive server, exactly block_available. `live_slots` holds the
+  // slots whose server is alive. Scans over many blocks (the repair
+  // queue's per-pop ranking, its closing scan, node health) read this
+  // instead of taking the lock once per block.
+  struct BlockMasks {
+    uint64_t present = 0;
+    uint64_t available = 0;
+  };
+  struct AvailabilitySnapshot {
+    uint64_t live_slots = 0;
+    std::vector<BlockMasks> files;  // files[i] describes ids[i]
+  };
+  AvailabilitySnapshot availability(const std::vector<FileId>& ids) const;
+  // Every file, in id order (files[id] describes file id).
+  AvailabilitySnapshot availability() const;
+
   // ---- Scrubbing (silent-corruption defense) ----------------------------
 
   // Fault injection: flips one byte inside a stored block.

@@ -175,6 +175,92 @@ TEST(RepairQueueTest, MostEndangeredStripesRepairFirst) {
   }
 }
 
+// The whole pop policy, observed end to end: (helper deficit desc, lost
+// blocks in the file desc, FIFO). One worker is held in its throttle
+// charge on a gate task while the backlog is built, so every pop below is
+// decided by the queue's ranking alone, never by enqueue timing. Then,
+// after enqueue and before any pop, a helper of the LAST-enqueued task is
+// lost: the priority is live, so that task jumps the whole backlog.
+TEST(RepairQueueTest, PopOrderFollowsTheWholePolicy) {
+  core::GalloperCode code(4, 2, 1);
+  sim::Simulation sim;
+  sim::Cluster cluster(sim, code.num_blocks() + 2, sim::ServerSpec{});
+  store::FileStore fs(cluster, code);
+  CoordinatorOptions opt;
+  opt.repair_workers = 1;  // sequential completions: order is observable
+  Coordinator coord(fs, opt);
+  RepairQueue& queue = coord.repair_queue();
+
+  Rng rng(19);
+  std::vector<Buffer> files;
+  std::vector<store::FileId> ids;
+  for (size_t i = 0; i < 6; ++i) {
+    files.push_back(random_buffer(code.engine().num_chunks() * 64, rng));
+    ids.push_back(fs.write(files.back()));
+  }
+  const store::FileId gate = ids[0], a = ids[1], b = ids[2], c = ids[3],
+                      d = ids[4], e = ids[5];
+
+  const size_t victim = 0;
+  const auto helpers = fs.code().repair_helpers(victim);
+  ASSERT_FALSE(helpers.empty());
+  // A second slot outside the victim's helper set: losing it raises a
+  // file's lost count without touching the victim task's deficit.
+  size_t other = SIZE_MAX;
+  for (size_t s = 1; s < code.num_blocks() && other == SIZE_MAX; ++s)
+    if (std::find(helpers.begin(), helpers.end(), s) == helpers.end())
+      other = s;
+  ASSERT_NE(other, SIZE_MAX);
+
+  // Gate: a bucket charged far into debt holds the worker in
+  // acquire_repair_bandwidth, after the gate task's pop, until un-throttled.
+  DataNode& target = coord.node(fs.server_of(victim));
+  target.set_repair_bandwidth(1.0);
+  target.acquire_repair_bandwidth(size_t{1} << 30);
+  fs.corrupt_block(gate, victim, 0);
+  fs.scrub(/*quarantine=*/true);
+  queue.enqueue(gate, victim);
+  const auto t0 = std::chrono::steady_clock::now();
+  while (queue.stats().in_flight != 1 || queue.stats().pending != 0) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30))
+        << "the worker never popped the gate task";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // Backlog: the victim slot of files c, a, b, e, d, enqueued in that
+  // order. File b has also lost `other` (lost count 2, deficit 0).
+  for (store::FileId id : {a, b, c, d, e}) fs.corrupt_block(id, victim, 0);
+  fs.corrupt_block(b, other, 0);
+  fs.scrub(/*quarantine=*/true);
+  for (store::FileId id : {c, a, b, e, d}) queue.enqueue(id, victim);
+  // Live change: d loses a preferred helper of its queued task (deficit 1).
+  fs.corrupt_block(d, helpers[0], 0);
+  fs.scrub(/*quarantine=*/true);
+  ASSERT_FALSE(fs.block_available(d, helpers[0]));
+  EXPECT_EQ(queue.stats().pending, 5u);
+
+  target.set_repair_bandwidth(0);  // open the gate
+  ASSERT_TRUE(queue.drain(120.0));
+
+  std::vector<store::FileId> order;
+  std::vector<size_t> deficits;
+  for (const auto& comp : queue.completions()) {
+    if (comp.block != victim) continue;  // drain's closing-scan repairs
+    order.push_back(comp.file);
+    deficits.push_back(comp.deficit);
+  }
+  // d: deficit 1 jumps everything; b: deficit 0 but two lost slots; then
+  // c, a, e in FIFO order among equal keys.
+  EXPECT_EQ(order, (std::vector<store::FileId>{gate, d, b, c, a, e}));
+  EXPECT_EQ(deficits, (std::vector<size_t>{0, 1, 0, 0, 0, 0}));
+
+  // drain()'s closing scan healed the blocks no task was enqueued for.
+  for (size_t i = 0; i < ids.size(); ++i)
+    EXPECT_EQ(*fs.read(ids[i]), files[i]);
+  EXPECT_TRUE(fs.block_available(b, other));
+  EXPECT_TRUE(fs.block_available(d, helpers[0]));
+}
+
 // A task that exhausts its attempt budget (here: every helper gather is
 // force-failed, so each execution throws TransientError) parks in the
 // unrecoverable set instead of spinning forever. The queue still reports

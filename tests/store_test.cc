@@ -376,6 +376,104 @@ TEST_F(FileStoreTest, ReadOriginalSplitQuarantinesAndHealsCorruptBlock) {
   EXPECT_EQ(*split, Buffer(block1.begin(), block1.begin() + 64));
 }
 
+// availability() is the bulk form of block_available and lost_blocks, and
+// must agree with them bit for bit. Random states mix swept kills (the
+// slot's bytes dropped), bare server kills (bytes present on a dead
+// server), revived-empty servers, quarantined blocks, reassigned slots,
+// writes landing while servers are dead, and repairs.
+TEST_F(FileStoreTest, AvailabilitySnapshotMatchesPerBlockAccessors) {
+  const size_t n = code.num_blocks();
+  const uint64_t all = (uint64_t{1} << n) - 1;
+  for (int i = 0; i < 3; ++i) fs.write(make_file(16));
+
+  auto expected = [&](FileId id) {
+    FileStore::BlockMasks m;
+    m.present = all;
+    for (size_t b : fs.lost_blocks(id)) m.present &= ~(uint64_t{1} << b);
+    for (size_t b = 0; b < n; ++b)
+      if (fs.block_available(id, b)) m.available |= uint64_t{1} << b;
+    return m;
+  };
+  bool saw_present_on_dead = false, saw_lost_on_live = false;
+  auto check = [&](size_t step) {
+    uint64_t live = 0;
+    for (size_t b = 0; b < n; ++b)
+      if (cluster.server(fs.server_of(b)).alive()) live |= uint64_t{1} << b;
+    const auto every = fs.availability();
+    ASSERT_EQ(every.files.size(), fs.num_files());
+    EXPECT_EQ(every.live_slots, live) << "step " << step;
+    for (FileId id = 0; id < fs.num_files(); ++id) {
+      const auto want = expected(id);
+      EXPECT_EQ(every.files[id].present, want.present) << "step " << step;
+      EXPECT_EQ(every.files[id].available, want.available)
+          << "step " << step;
+      saw_present_on_dead |= (want.present & ~live) != 0;
+      saw_lost_on_live |= (~want.present & live & all) != 0;
+    }
+    // A subset in random order, with repeats.
+    std::vector<FileId> ids;
+    for (size_t i = 0; i < 2 * fs.num_files(); ++i)
+      ids.push_back(rng.next_below(fs.num_files()));
+    const auto some = fs.availability(ids);
+    ASSERT_EQ(some.files.size(), ids.size());
+    EXPECT_EQ(some.live_slots, live);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const auto want = expected(ids[i]);
+      EXPECT_EQ(some.files[i].present, want.present) << "step " << step;
+      EXPECT_EQ(some.files[i].available, want.available) << "step " << step;
+    }
+  };
+
+  std::vector<int> seen(7, 0);
+  check(0);
+  for (size_t step = 1; step <= 120; ++step) {
+    const size_t s = rng.next_below(cluster.size());
+    const FileId id = rng.next_below(fs.num_files());
+    const size_t b = rng.next_below(n);
+    const int op = static_cast<int>(rng.next_below(7));
+    switch (op) {
+      case 0:  // swept kill: the slot's bytes are dropped
+        fs.fail_server(s);
+        break;
+      case 1:  // bare kill: bytes stay present on a dead server
+        cluster.server(s).fail();
+        break;
+      case 2:  // revive: EMPTY after a swept kill
+        fs.revive_server(s);
+        break;
+      case 3: {  // quarantine one resident block
+        const auto lost = fs.lost_blocks(id);
+        if (std::find(lost.begin(), lost.end(), b) != lost.end()) continue;
+        fs.corrupt_block(id, b, 0);
+        fs.scrub(/*quarantine=*/true);
+        break;
+      }
+      case 4: {  // move a slot onto an alive server hosting none
+        const auto placement = fs.placement();
+        if (!cluster.server(s).alive() ||
+            std::find(placement.begin(), placement.end(), s) !=
+                placement.end())
+          continue;
+        fs.reassign_block(b, s);
+        break;
+      }
+      case 5:  // a write lands whatever is dead
+        if (fs.num_files() >= 8) continue;
+        fs.write(make_file(16));
+        break;
+      case 6:  // heal one lost block if it can be
+        if (!fs.block_available(id, b)) fs.repair(id, b);
+        break;
+    }
+    ++seen[op];
+    check(step);
+    if (HasFailure()) return;
+  }
+  for (int op = 0; op < 7; ++op) EXPECT_GT(seen[op], 0) << "op " << op;
+  EXPECT_TRUE(saw_present_on_dead);
+  EXPECT_TRUE(saw_lost_on_live);
+}
+
 TEST_F(FileStoreTest, RepairOfHealthyBlockIsNoop) {
   const FileId id = fs.write(make_file());
   const auto helpers = fs.repair(id, 0);
